@@ -22,6 +22,7 @@ from .partition import (
     Partition,
     StateSet,
     canonicalize,
+    diagonal_set,
     mirror_close,
     partition_states,
 )
@@ -75,24 +76,13 @@ def is_observable(model: PbnModel) -> tuple[bool, StateSet]:
 
 def one_step_to_diagonal(states: StateSet, aug: AugmentedSystem) -> StateSet:
     """Members of ``states`` that can hit a diagonal pair in one step."""
-    size = aug.model.state_count
-    succ = aug.active_successors()
-    diag = np.zeros(aug.pair_count, dtype=bool)
-    diag[np.arange(size) * size + np.arange(size)] = True
-    hits = diag[succ[0]]
-    for row in succ[1:]:
-        hits |= diag[row]
-    return StateSet.from_bool_array(hits & states.to_bool_array())
+    return StateSet(aug.pair_count, aug.pre_any(diagonal_set(aug.model.n).bits) & states.bits)
 
 
 def positive_prob_fixed_points(states: StateSet, aug: AugmentedSystem) -> StateSet:
     """Members of ``states`` fixed by some positive-probability subnetwork."""
-    succ = aug.active_successors()
-    idx = np.arange(aug.pair_count)
-    fixed = succ[0] == idx
-    for row in succ[1:]:
-        fixed |= row == idx
-    return StateSet.from_bool_array(fixed & states.to_bool_array())
+    fixed = (aug.active_successors() == np.arange(aug.pair_count)).any(axis=0)
+    return StateSet(aug.pair_count, fixed & states.bits)
 
 
 def maximum_invariant_set(constraint: StateSet, aug: AugmentedSystem) -> StateSet:
@@ -101,15 +91,11 @@ def maximum_invariant_set(constraint: StateSet, aug: AugmentedSystem) -> StateSe
     Deletes states whose support escapes the current set until stable (the
     greatest fixpoint inside ``constraint``).
     """
-    succ = aug.active_successors()
-    current = constraint.to_bool_array()
+    current = constraint.bits
     while True:
-        stays = current[succ[0]]
-        for row in succ[1:]:
-            stays &= current[row]
-        refined = current & stays
+        refined = current & aug.pre_all(current)
         if np.array_equal(refined, current):
-            return StateSet.from_bool_array(refined)
+            return StateSet(aug.pair_count, refined)
         current = refined
 
 
@@ -136,16 +122,20 @@ def minimal_anchor_sets(
             "reduce the network or raise the cap"
         )
     n = aug.model.n
-    kept: list[StateSet] = []
+    # Superset tests on small frozensets are cheaper than on StateSets.
+    kept: list[frozenset[int]] = []
+    anchors: list[StateSet] = []
     for r in range(1, count + 1):
         for combo in combinations(members, r):
-            guess = StateSet.from_indices(invariant.universe, combo)
-            if any(k.issubset(guess) for k in kept):
+            chosen = frozenset(combo)
+            if any(k <= chosen for k in kept):
                 continue
+            guess = StateSet.from_indices(invariant.universe, combo)
             target = mirror_close(guess | external_target, n)
             if (invariant - guess).issubset(robust_reach(target, aug).union):
-                kept.append(guess)
-    return tuple(kept)
+                kept.append(chosen)
+                anchors.append(guess)
+    return tuple(anchors)
 
 
 def candidate_sufficient(candidate: StateSet, aug: AugmentedSystem, part: Partition) -> bool:

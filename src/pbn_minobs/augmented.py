@@ -2,12 +2,15 @@
 
 Two copies of the network driven by one switching signal evolve the pair
 (i, j) to (L_v(i), L_v(j)).  The pair maps are kept as logical matrices
-(column-index arrays), never as dense 4^n x 4^n arrays.
+(column-index arrays), never as dense 4^n x 4^n arrays.  Every fixpoint is
+built from the pre-image operators ``pre_all`` (all successors inside a bool
+array over the pair space) and ``pre_any`` (some successor inside).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -146,14 +149,12 @@ class AugmentedSystem:
     """The paired system: one pair map per subnetwork plus its expectation.
 
     ``maps[v]`` sends pair index z to the pair index of the two images under
-    subnetwork v+1; ``q_matrix`` is the probability-weighted expectation and
-    ``pair_output`` the Kronecker square of the output matrix.
+    subnetwork v+1; ``q_matrix`` is the probability-weighted expectation.
     """
 
     model: PbnModel
     maps: tuple[LogicalMatrix, ...]
     q_matrix: StochasticMatrix
-    pair_output: LogicalMatrix
     _active_successors: np.ndarray = field(repr=False)
 
     @property
@@ -164,9 +165,22 @@ class AugmentedSystem:
     def active(self) -> tuple[int, ...]:
         return self.model.active
 
+    @cached_property
+    def pair_output(self) -> LogicalMatrix:
+        """Kronecker square of the output matrix, built on first access."""
+        return kron(self.model.output, self.model.output)
+
     def active_successors(self) -> np.ndarray:
         """(k, pair_count) array of 0-based successor indices over the active maps."""
         return self._active_successors
+
+    def pre_all(self, inside: np.ndarray) -> np.ndarray:
+        """Pair states whose every positive-probability successor is in ``inside``."""
+        return inside[self._active_successors].all(axis=0)
+
+    def pre_any(self, inside: np.ndarray) -> np.ndarray:
+        """Pair states with some positive-probability successor in ``inside``."""
+        return inside[self._active_successors].any(axis=0)
 
     def column_support(self, z: int) -> tuple[int, ...]:
         """Pair states reachable from z in one step with positive probability."""
@@ -184,7 +198,7 @@ def pair_map(transition: LogicalMatrix) -> LogicalMatrix:
 
 
 def build_augmented(model: PbnModel) -> AugmentedSystem:
-    """Construct the pair maps, their expectation and the pair output matrix."""
+    """Construct the pair maps and their expectation."""
     size = model.state_count
     pair_count = size * size
     cap = dimension_cap()
@@ -195,12 +209,9 @@ def build_augmented(model: PbnModel) -> AugmentedSystem:
         )
     maps = tuple(pair_map(t) for t in model.transitions)
     q = StochasticMatrix.from_weighted_maps(maps, model.probs)
-    k = kron(model.output, model.output)
     succ = np.stack([maps[v].col_index - 1 for v in model.active])
     succ.setflags(write=False)
-    return AugmentedSystem(
-        model=model, maps=maps, q_matrix=q, pair_output=k, _active_successors=succ
-    )
+    return AugmentedSystem(model=model, maps=maps, q_matrix=q, _active_successors=succ)
 
 
 def expected_transition(model: PbnModel) -> StochasticMatrix:

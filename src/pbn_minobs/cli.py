@@ -20,7 +20,7 @@ from .model import PbnModel, parse_model_file
 from .partition import (
     Partition,
     StateSet,
-    canonicalize,
+    folded_pairs,
     mirror_close,
     mirror_index,
     pair_split,
@@ -38,12 +38,7 @@ EXIT_RESOURCE = 4
 
 
 def _pairs_json(states: StateSet, n: int) -> list[dict]:
-    folded = canonicalize(states, n)
-    out = []
-    for z in folded.indices():
-        i, j = pair_split(z, n)
-        out.append({"index": z, "pair": [i, j]})
-    return out
+    return [{"index": z, "pair": [i, j]} for z, i, j in folded_pairs(states, n)]
 
 
 def _set_list_json(sets, n: int) -> list[list[dict]]:
@@ -120,12 +115,7 @@ def build_report(
 
 
 def _fmt_pairs(states: StateSet, n: int) -> str:
-    folded = canonicalize(states, n)
-    parts = []
-    for z in folded.indices():
-        i, j = pair_split(z, n)
-        parts.append(f"{z}=({i},{j})")
-    return "{" + ", ".join(parts) + "}"
+    return "{" + ", ".join(f"{z}=({i},{j})" for z, i, j in folded_pairs(states, n)) + "}"
 
 
 def _summary_lines(model: PbnModel, analysis: AnalysisReport, plan: SensorPlan | None) -> list[str]:

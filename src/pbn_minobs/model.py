@@ -6,6 +6,7 @@ so the state (b_1, ..., b_n) has delta index 1 + sum_r (1 - b_r) * 2^(n-r).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -13,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelFormatError
-from .stp import LogicalMatrix, khatri_rao
+from .errors import ModelFormatError, ResourceLimitError
+from .stp import LogicalMatrix, dimension_cap, khatri_rao
 
 PROB_SUM_TOL = 1e-9
 
@@ -329,7 +330,7 @@ class PbnModel:
             raise ModelFormatError(
                 f"probability vector has {len(p)} entries for {len(self.transitions)} subnetworks"
             )
-        if any(x < 0.0 or x > 1.0 for x in p):
+        if not all(0.0 <= x <= 1.0 for x in p):
             raise ModelFormatError("probabilities must lie in [0, 1]")
         if abs(sum(p) - 1.0) > PROB_SUM_TOL:
             raise ModelFormatError(f"probabilities sum to {sum(p)!r}, expected 1")
@@ -411,9 +412,14 @@ def parse_model(text: str) -> PbnModel:
                 raise ModelFormatError(f"duplicate header key {key!r}", line=line_no)
             if key == "p":
                 try:
-                    header[key] = tuple(float(tok) for tok in value.split())
+                    probs = tuple(float(tok) for tok in value.split())
                 except ValueError:
                     raise ModelFormatError(f"invalid probability vector {value!r}", line=line_no)
+                if not all(math.isfinite(x) for x in probs):
+                    raise ModelFormatError(
+                        f"probabilities must be finite, got {value!r}", line=line_no
+                    )
+                header[key] = probs
             else:
                 try:
                     header[key] = int(value)
@@ -424,6 +430,8 @@ def parse_model(text: str) -> PbnModel:
 
         n = header.get("states")
         if n is None:
+            if header:
+                raise ModelFormatError("missing header key 'states'")
             raise ModelFormatError("'states:' must appear before any section", line=line_no)
 
         lit = _LITERAL_RE.match(stripped)
@@ -483,6 +491,12 @@ def parse_model(text: str) -> PbnModel:
             f"p has {len(probs)} entries but subnetworks is {m_count}",
             line=header_lines["p"],
         )
+    cap = dimension_cap()
+    # n >= cap.bit_length() already means 2^n > cap, without forming 2^n.
+    if n >= cap.bit_length() or n << n > cap:
+        raise ResourceLimitError(
+            f"states: {n} needs a 2^{n}x{n} assignment table, exceeding the entry cap {cap}"
+        )
 
     size = 1 << n
     transitions = []
@@ -523,18 +537,17 @@ def _finish_block(
             )
         return lit
     expected = count if is_output else n
-    missing = [i for i in range(1, expected + 1) if i not in block.rules]
-    if missing:
-        name = "y" if is_output else "x"
-        raise ModelFormatError(
-            f"{label} is missing a rule for {name}{missing[0]}", line=block.line
-        )
+    name = "y" if is_output else "x"
     extra = sorted(set(block.rules) - set(range(1, expected + 1)))
     if extra:
-        name = "y" if is_output else "x"
         raise ModelFormatError(
             f"rule target {name}{extra[0]} out of range [1, {expected}]",
             line=block.rule_lines[extra[0]],
+        )
+    missing = [i for i in range(1, expected + 1) if i not in block.rules]
+    if missing:
+        raise ModelFormatError(
+            f"{label} is missing a rule for {name}{missing[0]}", line=block.line
         )
     per_node = [structure_matrix(block.rules[i], n) for i in range(1, expected + 1)]
     return assemble_network(per_node)

@@ -3,7 +3,9 @@
 Pair (i, j) of single-network states lives at linear index (i-1)*2^n + j in
 the pair space of size 4^n.  The mirror of (i, j) is (j, i); dynamics and
 output tests are mirror-symmetric, so analyses run on the full pair space and
-results are folded to the canonical i < j representatives for display.
+results are folded to the canonical i <= j representatives for display.
+Sets are :class:`StateSet` values over one read-only bool array, which the
+fixpoints and the folds below read and build directly.
 """
 
 from __future__ import annotations
@@ -16,52 +18,63 @@ from .model import PbnModel
 
 
 class StateSet:
-    """Immutable subset of {1, ..., universe} backed by one big integer.
+    """Immutable subset of {1, ..., universe} backed by one read-only bool array.
 
-    Bit k-1 of ``mask`` holds membership of index k, so unions, intersections
-    and subset tests are word-wise integer operations.
+    Entry k-1 of ``bits`` holds membership of index k.  The constructor copies
+    ``bits``; sets built by the operators own their fresh arrays.
     """
 
-    __slots__ = ("universe", "mask")
+    __slots__ = ("universe", "bits")
 
-    def __init__(self, universe: int, mask: int = 0):
+    def __init__(self, universe: int, bits):
         if universe <= 0:
             raise ValueError("universe must be positive")
-        if mask < 0 or mask >> universe:
-            raise ValueError("mask has bits outside the universe")
+        arr = np.asarray(bits)
+        if arr.dtype != np.bool_ or arr.shape != (universe,):
+            raise ValueError(f"bits must be a bool array of shape ({universe},)")
+        self._set(universe, arr.copy())
+
+    def _set(self, universe: int, bits: np.ndarray) -> None:
+        bits.flags.writeable = False
         object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "bits", bits)
+
+    @classmethod
+    def _own(cls, bits: np.ndarray) -> "StateSet":
+        """Wrap a fresh 1-D bool array that no one else holds, without copying."""
+        obj = object.__new__(cls)
+        obj._set(bits.size, bits)
+        return obj
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("StateSet is immutable")
 
     @classmethod
     def empty(cls, universe: int) -> "StateSet":
-        return cls(universe, 0)
+        return cls(universe, np.zeros(universe, dtype=bool))
 
     @classmethod
     def full(cls, universe: int) -> "StateSet":
-        return cls(universe, (1 << universe) - 1)
+        return cls(universe, np.ones(universe, dtype=bool))
 
     @classmethod
     def from_indices(cls, universe: int, indices) -> "StateSet":
-        mask = 0
-        for k in indices:
-            if not 1 <= k <= universe:
-                raise ValueError(f"index {k} out of range [1, {universe}]")
-            mask |= 1 << (k - 1)
-        return cls(universe, mask)
+        idx = np.fromiter(indices, dtype=np.int64)
+        outside = idx[(idx < 1) | (idx > universe)]
+        if outside.size:
+            raise ValueError(f"index {outside[0]} out of range [1, {universe}]")
+        bits = np.zeros(universe, dtype=bool)
+        bits[idx - 1] = True
+        return cls(universe, bits)
 
     @classmethod
     def from_bool_array(cls, arr) -> "StateSet":
-        arr = np.asarray(arr, dtype=bool)
-        packed = np.packbits(arr, bitorder="little").tobytes()
-        return cls(arr.size, int.from_bytes(packed, "little"))
+        flat = np.asarray(arr, dtype=bool).reshape(-1)
+        return cls(flat.size, flat)
 
     def to_bool_array(self) -> np.ndarray:
-        nbytes = (self.universe + 7) // 8
-        raw = np.frombuffer(self.mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: self.universe].astype(bool)
+        """The stored read-only membership array."""
+        return self.bits
 
     def _check(self, other: "StateSet") -> None:
         if not isinstance(other, StateSet):
@@ -70,51 +83,47 @@ class StateSet:
             raise ValueError(f"universe mismatch: {self.universe} vs {other.universe}")
 
     def __contains__(self, k: int) -> bool:
-        return 1 <= k <= self.universe and bool((self.mask >> (k - 1)) & 1)
+        return 1 <= k <= self.universe and bool(self.bits[k - 1])
 
     def __or__(self, other: "StateSet") -> "StateSet":
         self._check(other)
-        return StateSet(self.universe, self.mask | other.mask)
+        return StateSet._own(self.bits | other.bits)
 
     def __and__(self, other: "StateSet") -> "StateSet":
         self._check(other)
-        return StateSet(self.universe, self.mask & other.mask)
+        return StateSet._own(self.bits & other.bits)
 
     def __sub__(self, other: "StateSet") -> "StateSet":
         self._check(other)
-        return StateSet(self.universe, self.mask & ~other.mask)
+        return StateSet._own(self.bits & ~other.bits)
 
     def issubset(self, other: "StateSet") -> bool:
         self._check(other)
-        return self.mask & ~other.mask == 0
+        return not (self.bits & ~other.bits).any()
 
     def isdisjoint(self, other: "StateSet") -> bool:
         self._check(other)
-        return self.mask & other.mask == 0
+        return not (self.bits & other.bits).any()
 
     def __len__(self) -> int:
-        return self.mask.bit_count()
+        return int(np.count_nonzero(self.bits))
 
     def __bool__(self) -> bool:
-        return self.mask != 0
+        return bool(self.bits.any())
 
     def __iter__(self):
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length()
-            mask ^= low
+        return iter(self.indices())
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(self)
+        return tuple((np.flatnonzero(self.bits) + 1).tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateSet):
             return NotImplemented
-        return self.universe == other.universe and self.mask == other.mask
+        return self.universe == other.universe and bool(np.array_equal(self.bits, other.bits))
 
     def __hash__(self):
-        return hash((self.universe, self.mask))
+        return hash((self.universe, self.bits.tobytes()))
 
     def __repr__(self) -> str:
         shown = self.indices()
@@ -149,34 +158,37 @@ def mirror_index(k: int, n: int) -> int:
     return pair_index(j, i, n)
 
 
-def is_diagonal_index(k: int, n: int) -> bool:
-    i, j = pair_split(k, n)
-    return i == j
-
-
 def diagonal_set(n: int) -> StateSet:
     size = 1 << n
-    return StateSet.from_indices(size * size, (pair_index(i, i, n) for i in range(1, size + 1)))
+    bits = np.zeros(size * size, dtype=bool)
+    bits[:: size + 1] = True
+    return StateSet._own(bits)
 
 
 def _as_square(s: StateSet, n: int) -> np.ndarray:
     size = 1 << n
     if s.universe != size * size:
         raise ValueError(f"state set universe {s.universe} does not match pair space {size * size}")
-    return s.to_bool_array().reshape(size, size)
+    return s.bits.reshape(size, size)
 
 
 def mirror_close(s: StateSet, n: int) -> StateSet:
     """Union of the set with its mirror image."""
     grid = _as_square(s, n)
-    return StateSet.from_bool_array((grid | grid.T).reshape(-1))
+    return StateSet._own((grid | grid.T).reshape(-1))
 
 
 def canonicalize(s: StateSet, n: int) -> StateSet:
     """Fold every pair to its i <= j representative."""
     grid = _as_square(s, n)
-    folded = np.triu(grid | grid.T)
-    return StateSet.from_bool_array(folded.reshape(-1))
+    return StateSet._own(np.triu(grid | grid.T).reshape(-1))
+
+
+def folded_pairs(s: StateSet, n: int) -> list[tuple[int, int, int]]:
+    """(index, i, j) of every canonical i <= j representative, in index order."""
+    z = np.flatnonzero(canonicalize(s, n).bits)
+    size = 1 << n
+    return list(zip((z + 1).tolist(), (z // size + 1).tolist(), (z % size + 1).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +218,9 @@ def partition_states(model: PbnModel) -> Partition:
     """
     h = model.output.col_index
     equal = h[:, None] == h[None, :]
-    upper = np.triu(np.ones_like(equal, dtype=bool), k=1)
-    diag = np.eye(len(h), dtype=bool)
+    upper = np.triu(np.ones_like(equal), k=1)
     return Partition(
-        s0=StateSet.from_bool_array(diag.reshape(-1)),
-        s1=StateSet.from_bool_array((equal & upper).reshape(-1)),
-        s2=StateSet.from_bool_array((~equal & upper).reshape(-1)),
+        s0=diagonal_set(model.n),
+        s1=StateSet._own((equal & upper).reshape(-1)),
+        s2=StateSet._own((~equal & upper).reshape(-1)),
     )

@@ -28,13 +28,7 @@ def one_step_robust(target: StateSet, aug: AugmentedSystem, exclude: StateSet) -
     """States outside ``exclude`` whose entire one-step support lies in ``target``."""
     if target.universe != aug.pair_count or exclude.universe != aug.pair_count:
         raise ValueError("state sets must live in the augmented pair space")
-    inside = target.to_bool_array()
-    succ = aug.active_successors()
-    ok = inside[succ[0]]
-    for row in succ[1:]:
-        ok &= inside[row]
-    ok &= ~exclude.to_bool_array()
-    return StateSet.from_bool_array(ok)
+    return StateSet(aug.pair_count, aug.pre_all(target.bits) & ~exclude.bits)
 
 
 def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
@@ -45,16 +39,14 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
     empty layer.
     """
     layers: list[StateSet] = []
-    accumulated = target
-    union = StateSet.empty(target.universe)
+    arrived = target
     while True:
-        layer = one_step_robust(accumulated, aug, accumulated)
+        layer = one_step_robust(arrived, aug, arrived)
         if not layer:
             break
         layers.append(layer)
-        accumulated = accumulated | layer
-        union = union | layer
-    return ReachResult(layers=tuple(layers), union=union, steps=len(layers))
+        arrived = arrived | layer
+    return ReachResult(layers=tuple(layers), union=arrived - target, steps=len(layers))
 
 
 def robust_reach_oracle(target: StateSet, model: PbnModel, depth_cap: int) -> StateSet:

@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import AnalysisReport, is_observable
 from .errors import InfeasibleCoverError
 from .model import PbnModel
-from .partition import StateSet, canonicalize, pair_split
+from .partition import StateSet, folded_pairs, pair_split
 from .stp import BooleanMatrix, LogicalMatrix, khatri_rao
 
 
@@ -67,22 +67,18 @@ def truth_matrix(target: StateSet, n: int) -> TruthMatrix:
     The target is folded to canonical representatives and sorted; a diagonal
     pair is rejected because no added measurement can ever separate it.
     """
-    canon = canonicalize(target, n)
-    if not canon:
+    listing = folded_pairs(target, n)
+    if not listing:
         raise ValueError("target set is empty")
-    states = canon.indices()
-    pairs = [pair_split(z, n) for z in states]
-    for z, (i, j) in zip(states, pairs):
+    for z, i, j in listing:
         if i == j:
             raise ValueError(
                 f"pair state {z} = ({i}, {j}) is diagonal; no measurement can separate it"
             )
-    grid = np.zeros((n, len(states)), dtype=bool)
-    for c, (i, j) in enumerate(pairs):
-        for m_idx in range(1, n + 1):
-            shift = n - m_idx
-            grid[m_idx - 1, c] = ((i - 1) >> shift) & 1 != ((j - 1) >> shift) & 1
-    return TruthMatrix(n=n, column_states=states, bits=BooleanMatrix(grid))
+    states, first, second = np.array(listing, dtype=np.int64).T
+    shifts = n - np.arange(1, n + 1)[:, None]
+    grid = ((first - 1) >> shifts) & 1 != ((second - 1) >> shifts) & 1
+    return TruthMatrix(n=n, column_states=tuple(states.tolist()), bits=BooleanMatrix(grid))
 
 
 def min_cover(phi: TruthMatrix) -> tuple[tuple[int, ...], ...]:

@@ -218,3 +218,20 @@ def test_anchor_lists_are_antichains():
                         assert not a.issubset(b)
             checked += len(group)
     assert checked  # at least some anchor sets were produced across the run
+
+
+def test_invariant_set_matches_plain_greatest_fixpoint():
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        model = random_model(rng)
+        aug = build_augmented(model)
+        pairs = aug.pair_count
+        raw = rng.integers(1, pairs + 1, size=int(rng.integers(0, pairs + 1)))
+        current = {int(z) for z in raw}
+        constraint = StateSet.from_indices(pairs, current)
+        while True:
+            kept = {z for z in current if set(aug.column_support(z)) <= current}
+            if kept == current:
+                break
+            current = kept
+        assert maximum_invariant_set(constraint, aug).indices() == tuple(sorted(current))

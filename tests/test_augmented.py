@@ -165,3 +165,24 @@ def test_column_sums_validated():
 
     with pytest.raises(ValueError, match="sums to"):
         StochasticMatrix.from_weighted_maps([LogicalMatrix(2, [1, 2])], [0.5])
+
+
+def test_pre_image_operators_match_column_support():
+    rng = np.random.default_rng(71)
+    for _ in range(220):
+        model = random_model(rng)
+        aug = build_augmented(model)
+        inside = rng.random(aug.pair_count) < rng.random()
+        pre_all = aug.pre_all(inside)
+        pre_any = aug.pre_any(inside)
+        for z in range(1, aug.pair_count + 1):
+            hits = [bool(inside[w - 1]) for w in aug.column_support(z)]
+            assert pre_all[z - 1] == all(hits)
+            assert pre_any[z - 1] == any(hits)
+
+
+def test_pair_output_is_built_on_first_access(apoptosis):
+    aug = build_augmented(apoptosis)
+    assert "pair_output" not in vars(aug)
+    assert aug.pair_output is aug.pair_output
+    assert aug.pair_output.rows == 4

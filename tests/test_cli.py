@@ -179,3 +179,13 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "pbn-minobs" in capsys.readouterr().out
+
+
+def test_analyze_does_not_build_the_pair_output_matrix(capsys, monkeypatch):
+    # The 64x64 Kronecker square of the output would exceed this cap; the
+    # analysis never reads it, so the command must still succeed.
+    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "1000")
+    code, out, _ = run(capsys, "analyze", MODEL_PATH, "--sensors")
+    assert code == EXIT_OK
+    optima = sorted(o["variables"] for o in json.loads(out)["sensors"]["optima"])
+    assert optima == [[1, 2], [1, 3]]

@@ -9,6 +9,7 @@ from pbn_minobs import (
     LogicalMatrix,
     ModelFormatError,
     PbnModel,
+    ResourceLimitError,
     StateSet,
     assemble_network,
     build_augmented,
@@ -47,12 +48,31 @@ BASE = "states: 1\noutputs: 1\nsubnetworks: 1\np: 1.0\n[net 1]\nx1' = x1\n[outpu
         ("junk\n" + BASE, "expected a header line"),
         (BASE + "[net 3]\nx1' = x1\n", "out of range: subnetworks is 1"),
         (BASE.replace("[net 1]\nx1' = x1\n", "[net 1]\n"), "missing a rule for x1"),
+        (
+            BASE.replace("subnetworks: 1\np: 1.0", "subnetworks: 2\np: nan 1.0")
+            + "[net 2]\nx1' = !x1\n",
+            "line 4: probabilities must be finite",
+        ),
     ],
 )
 def test_parse_failures(text, needle):
     with pytest.raises(ModelFormatError) as err:
         parse_model(text)
     assert needle in str(err.value)
+
+
+def test_assignment_table_checked_against_dimension_cap(monkeypatch):
+    # states: 3 needs an 8x3 assignment table; 24 entries exceed a cap of 20.
+    text = BASE.replace("states: 1", "states: 3").replace(
+        "x1' = x1", "x1' = x1\nx2' = x2\nx3' = x3"
+    )
+    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "20")
+    with pytest.raises(ResourceLimitError, match="assignment table.*entry cap 20"):
+        parse_model(text)
+    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "4096")
+    assert parse_model(text).n == 3
+    with pytest.raises(ResourceLimitError, match="entry cap 4096"):
+        parse_model(BASE.replace("states: 1", "states: 100000000000000000000"))
 
 
 def test_section_before_states_rejected():

@@ -123,3 +123,48 @@ def test_pair_index_range_checks():
         pair_split(17, 2)
     with pytest.raises(ValueError):
         mirror_index(0, 2)
+
+
+def test_state_set_matches_frozenset():
+    rng = np.random.default_rng(33)
+
+    def draw(universe):
+        members = frozenset(int(k) for k in np.flatnonzero(rng.random(universe) < rng.random()) + 1)
+        return members, StateSet.from_indices(universe, members)
+
+    for _ in range(320):
+        universe = int(rng.integers(1, 71))
+        fa, a = draw(universe)
+        fb, b = draw(universe)
+        assert (a | b).indices() == tuple(sorted(fa | fb))
+        assert (a & b).indices() == tuple(sorted(fa & fb))
+        assert (a - b).indices() == tuple(sorted(fa - fb))
+        assert a.issubset(b) == (fa <= fb)
+        assert (a & b).issubset(a)
+        assert a.isdisjoint(b) == fa.isdisjoint(fb)
+        assert (a - b).isdisjoint(b)
+        assert len(a) == len(fa)
+        assert bool(a) == bool(fa)
+        assert list(a) == sorted(fa)
+        for k in (0, 1, universe, universe + 1, int(rng.integers(1, universe + 1))):
+            assert (k in a) == (k in fa)
+        assert (a == b) == (fa == fb)
+        twin = StateSet.from_indices(universe, sorted(fa))
+        assert twin == a and hash(twin) == hash(a)
+        bits = a.to_bool_array()
+        assert bits.dtype == bool and bits.shape == (universe,)
+        assert StateSet.from_bool_array(bits) == a
+        assert StateSet(universe, bits) == a
+        with pytest.raises(ValueError):
+            bits[0] = not bits[0]
+        assert a == twin
+
+
+def test_state_set_copies_its_input():
+    raw = np.zeros(10, dtype=bool)
+    s = StateSet(10, raw)
+    raw[3] = True
+    assert not s
+    t = StateSet.from_bool_array(raw)
+    raw[3] = False
+    assert t.indices() == (4,)
