@@ -81,7 +81,7 @@ def one_step_to_diagonal(states: StateSet, aug: AugmentedSystem) -> StateSet:
 
 def positive_prob_fixed_points(states: StateSet, aug: AugmentedSystem) -> StateSet:
     """Members of ``states`` fixed by some positive-probability subnetwork."""
-    fixed = (aug.active_successors() == np.arange(aug.pair_count)).any(axis=0)
+    fixed = (aug.successors == np.arange(aug.pair_count)).any(axis=0)
     return StateSet(aug.pair_count, fixed & states.bits)
 
 

@@ -44,12 +44,15 @@ class StochasticMatrix:
         raise AttributeError("StochasticMatrix is immutable")
 
     def _validate(self) -> None:
-        for j in range(1, self.cols + 1):
-            total = self.column_sum(j)
-            if abs(total - 1.0) > COLUMN_SUM_TOL:
-                raise ValueError(f"column {j} sums to {total!r}, expected 1")
+        if self.is_dense:
+            sums = self._dense.sum(axis=0)
+        else:
+            sums = np.bincount(self._entry_cols(), weights=self._values, minlength=self.cols)
+        bad = np.flatnonzero(~(np.abs(sums - 1.0) <= COLUMN_SUM_TOL))
+        if bad.size:
+            raise ValueError(f"column {bad[0] + 1} sums to {float(sums[bad[0]])!r}, expected 1")
         values = self._values if self._values is not None else self._dense
-        if values is not None and values.size and float(np.min(values)) < 0.0:
+        if values is not None and values.size and not (float(np.min(values)) >= 0.0):
             raise ValueError("entries must be nonnegative")
 
     @classmethod
@@ -57,42 +60,32 @@ class StochasticMatrix:
         """Probability-weighted sum of logical matrices with a common shape.
 
         Zero-weight contributions are dropped so the sparsity pattern is the
-        exact support over the positive-probability maps.
+        exact support over the positive-probability maps.  Each entry sums its
+        contributions in map order.
         """
         mats = list(maps)
-        w = [float(x) for x in weights]
+        w = np.array([float(x) for x in weights])
+        if not mats:
+            raise ValueError("at least one map required")
         if len(mats) != len(w):
             raise ValueError("one weight per map required")
+        if not (np.isfinite(w).all() and (w >= 0.0).all()):
+            raise ValueError(f"weights must be finite and nonnegative, got {w.tolist()}")
         rows, cols = mats[0].rows, mats[0].cols
         for m in mats:
             if (m.rows, m.cols) != (rows, cols):
                 raise ValueError("maps must share one shape")
-        col_rows: list[np.ndarray] = []
-        col_vals: list[np.ndarray] = []
-        nnz = 0
-        stacked = np.stack([m.col_index for m in mats])
-        for j in range(cols):
-            acc: dict[int, float] = {}
-            for v, weight in enumerate(w):
-                if weight <= 0.0:
-                    continue
-                r = int(stacked[v, j])
-                acc[r] = acc.get(r, 0.0) + weight
-            rows_j = np.fromiter(sorted(acc), dtype=np.int64, count=len(acc))
-            vals_j = np.array([acc[int(r)] for r in rows_j])
-            col_rows.append(rows_j)
-            col_vals.append(vals_j)
-            nnz += rows_j.size
-        if rows * cols and nnz / (rows * cols) >= _SPARSE_DENSITY_THRESHOLD:
+        live = w > 0.0
+        # Key col * rows + row (0-based) sorts entries in CSC order.
+        keys = np.stack([m.col_index for m in mats])[live] - 1 + np.arange(cols) * rows
+        uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
+        values = np.bincount(inverse, weights=np.repeat(w[live], cols), minlength=uniq.size)
+        rowidx = uniq % rows + 1
+        if rows * cols and uniq.size / (rows * cols) >= _SPARSE_DENSITY_THRESHOLD:
             dense = np.zeros((rows, cols))
-            for j in range(cols):
-                dense[col_rows[j] - 1, j] = col_vals[j]
+            dense[rowidx - 1, uniq // rows] = values
             return cls(rows, cols, dense=dense)
-        indptr = np.zeros(cols + 1, dtype=np.int64)
-        for j in range(cols):
-            indptr[j + 1] = indptr[j] + col_rows[j].size
-        rowidx = np.concatenate(col_rows) if col_rows else np.zeros(0, dtype=np.int64)
-        values = np.concatenate(col_vals) if col_vals else np.zeros(0)
+        indptr = np.searchsorted(uniq, np.arange(cols + 1) * rows)
         return cls(rows, cols, indptr=indptr, rowidx=rowidx, values=values)
 
     @property
@@ -116,10 +109,6 @@ class StochasticMatrix:
         rows, _ = self._col_slice(j)
         return tuple(int(r) for r in rows)
 
-    def column_sum(self, j: int) -> float:
-        _, vals = self._col_slice(j)
-        return float(np.sum(vals))
-
     def entry(self, i: int, j: int) -> float:
         if not 1 <= i <= self.rows:
             raise ValueError(f"row {i} out of range [1, {self.rows}]")
@@ -130,13 +119,15 @@ class StochasticMatrix:
     def diagonal_entry(self, j: int) -> float:
         return self.entry(j, j)
 
+    def _entry_cols(self) -> np.ndarray:
+        """0-based column of each stored sparse entry."""
+        return np.repeat(np.arange(self.cols), np.diff(self._indptr))
+
     def dense(self) -> np.ndarray:
         if self.is_dense:
             return self._dense.copy()
         out = np.zeros((self.rows, self.cols))
-        for j in range(1, self.cols + 1):
-            rows, vals = self._col_slice(j)
-            out[rows - 1, j - 1] = vals
+        out[self._rowidx - 1, self._entry_cols()] = self._values
         return out
 
     def __repr__(self) -> str:
@@ -146,47 +137,52 @@ class StochasticMatrix:
 
 @dataclass(frozen=True, eq=False)
 class AugmentedSystem:
-    """The paired system: one pair map per subnetwork plus its expectation.
+    """The paired system: the positive-probability successors of every pair state.
 
-    ``maps[v]`` sends pair index z to the pair index of the two images under
-    subnetwork v+1; ``q_matrix`` is the probability-weighted expectation.
+    ``successors[r, z]`` is the 0-based pair index that pair state z (0-based)
+    moves to under the r-th positive-probability subnetwork.  The pair maps,
+    their expectation and the paired output are built on first access.
     """
 
     model: PbnModel
-    maps: tuple[LogicalMatrix, ...]
-    q_matrix: StochasticMatrix
-    _active_successors: np.ndarray = field(repr=False)
+    successors: np.ndarray = field(repr=False)
 
     @property
     def pair_count(self) -> int:
-        return self.maps[0].cols
+        return self.successors.shape[1]
 
     @property
     def active(self) -> tuple[int, ...]:
         return self.model.active
 
     @cached_property
+    def maps(self) -> tuple[LogicalMatrix, ...]:
+        """One pair map per subnetwork: ``maps[v]`` applies subnetwork v+1 to both copies."""
+        return tuple(pair_map(t) for t in self.model.transitions)
+
+    @cached_property
+    def q_matrix(self) -> StochasticMatrix:
+        """Probability-weighted expectation of the pair maps."""
+        return StochasticMatrix.from_weighted_maps(self.maps, self.model.probs)
+
+    @cached_property
     def pair_output(self) -> LogicalMatrix:
         """Kronecker square of the output matrix, built on first access."""
         return kron(self.model.output, self.model.output)
 
-    def active_successors(self) -> np.ndarray:
-        """(k, pair_count) array of 0-based successor indices over the active maps."""
-        return self._active_successors
-
     def pre_all(self, inside: np.ndarray) -> np.ndarray:
         """Pair states whose every positive-probability successor is in ``inside``."""
-        return inside[self._active_successors].all(axis=0)
+        return inside[self.successors].all(axis=0)
 
     def pre_any(self, inside: np.ndarray) -> np.ndarray:
         """Pair states with some positive-probability successor in ``inside``."""
-        return inside[self._active_successors].any(axis=0)
+        return inside[self.successors].any(axis=0)
 
     def column_support(self, z: int) -> tuple[int, ...]:
         """Pair states reachable from z in one step with positive probability."""
         if not 1 <= z <= self.pair_count:
             raise ValueError(f"pair index {z} out of range [1, {self.pair_count}]")
-        return tuple(sorted({int(self.maps[v].col_index[z - 1]) for v in self.model.active}))
+        return tuple(int(w) + 1 for w in np.unique(self.successors[:, z - 1]))
 
 
 def pair_map(transition: LogicalMatrix) -> LogicalMatrix:
@@ -198,7 +194,7 @@ def pair_map(transition: LogicalMatrix) -> LogicalMatrix:
 
 
 def build_augmented(model: PbnModel) -> AugmentedSystem:
-    """Construct the pair maps and their expectation."""
+    """Construct the successor array of the positive-probability pair maps."""
     size = model.state_count
     pair_count = size * size
     cap = dimension_cap()
@@ -207,11 +203,9 @@ def build_augmented(model: PbnModel) -> AugmentedSystem:
             f"augmented system needs {model.m}x{pair_count} stored entries, "
             f"exceeding the cap {cap}"
         )
-    maps = tuple(pair_map(t) for t in model.transitions)
-    q = StochasticMatrix.from_weighted_maps(maps, model.probs)
-    succ = np.stack([maps[v].col_index - 1 for v in model.active])
+    succ = np.stack([pair_map(model.transitions[v]).col_index - 1 for v in model.active])
     succ.setflags(write=False)
-    return AugmentedSystem(model=model, maps=maps, q_matrix=q, _active_successors=succ)
+    return AugmentedSystem(model=model, successors=succ)
 
 
 def expected_transition(model: PbnModel) -> StochasticMatrix:

@@ -53,7 +53,14 @@ class LogicalMatrix:
     def __init__(self, rows: int, col_index) -> None:
         if rows <= 0:
             raise ValueError(f"rows must be positive, got {rows}")
-        idx = np.asarray(col_index, dtype=np.int64)
+        raw = np.asarray(col_index)
+        try:
+            with np.errstate(invalid="ignore"):
+                idx = raw.astype(np.int64, copy=False)
+        except OverflowError:
+            raise ValueError(f"column indices must lie in [1, {rows}]") from None
+        if not np.array_equal(idx, raw):
+            raise ValueError("column indices must be integers")
         if idx.ndim != 1:
             raise ValueError("col_index must be one-dimensional")
         if idx.size and (idx.min() < 1 or idx.max() > rows):

@@ -1,18 +1,23 @@
+import time
+
 import numpy as np
 import pytest
 
 from pbn_minobs import (
     LogicalMatrix,
+    StochasticMatrix,
     build_augmented,
     expected_transition,
     khatri_rao,
     mirror_index,
     pair_index,
+    pair_map,
     pair_split,
     stp,
 )
 
 from conftest import Q_COLUMNS_EXPECTED, random_model
+from test_acceptance import Q_BUILD_BUDGET_S
 
 
 def literal_pair_expectation(model):
@@ -186,3 +191,82 @@ def test_pair_output_is_built_on_first_access(apoptosis):
     assert "pair_output" not in vars(aug)
     assert aug.pair_output is aug.pair_output
     assert aug.pair_output.rows == 4
+
+
+def test_successors_are_the_positive_probability_pair_maps():
+    rng = np.random.default_rng(72)
+    for _ in range(60):
+        model = random_model(rng)
+        aug = build_augmented(model)
+        assert aug.successors.shape == (len(model.active), model.state_count**2)
+        assert not aug.successors.flags.writeable
+        for row, v in enumerate(model.active):
+            assert np.array_equal(aug.successors[row], aug.maps[v].col_index - 1)
+
+
+def test_q_matrix_is_built_on_first_access_within_budget(apoptosis):
+    aug = build_augmented(apoptosis)
+    assert "q_matrix" not in vars(aug) and "maps" not in vars(aug)
+    assert aug.q_matrix is aug.q_matrix
+
+    def time_q_build():
+        fresh = build_augmented(apoptosis)
+        start = time.perf_counter()
+        fresh.q_matrix
+        return time.perf_counter() - start
+
+    best = min(time_q_build() for _ in range(5))
+    assert best < Q_BUILD_BUDGET_S, f"q_matrix build took {best * 1000:.2f} ms"
+
+
+def reference_weighted_sum(maps, weights):
+    """Per-column dict of summed weights, adding contributions in map order."""
+    columns = []
+    for j in range(maps[0].cols):
+        acc: dict[int, float] = {}
+        for m, w in zip(maps, weights):
+            if w > 0.0:
+                r = int(m.col_index[j])
+                acc[r] = acc.get(r, 0.0) + w
+        columns.append(acc)
+    return columns
+
+
+def test_weighted_maps_match_per_column_reference():
+    rng = np.random.default_rng(73)
+    storage = set()
+    for _ in range(320):
+        model = random_model(rng)
+        for base in (list(model.transitions), [pair_map(t) for t in model.transitions]):
+            maps, weights = base, list(model.probs)
+            if rng.random() < 0.5:
+                # Split the first weight over a repeated map: every column collides.
+                maps, weights = base + [base[0]], [weights[0] / 2, *weights[1:], weights[0] / 2]
+            q = StochasticMatrix.from_weighted_maps(maps, weights)
+            expected = reference_weighted_sum(maps, weights)
+            ref_dense = np.zeros((q.rows, q.cols))
+            for j, acc in enumerate(expected, start=1):
+                assert q.column_dict(j) == acc
+                assert q.column_support(j) == tuple(sorted(acc))
+                for r, value in acc.items():
+                    ref_dense[r - 1, j - 1] = value
+            assert np.array_equal(q.dense(), ref_dense)
+            storage.add(q.is_dense)
+    assert storage == {True, False}
+
+
+def test_weighted_maps_reject_bad_input():
+    maps = [LogicalMatrix(2, [1, 2])] * 3
+    for weights in ([float("nan"), 0.5, 0.5], [float("inf"), 0.0, 0.0], [0.5, 0.5, -0.3]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            StochasticMatrix.from_weighted_maps(maps, weights)
+    with pytest.raises(ValueError, match="at least one map"):
+        StochasticMatrix.from_weighted_maps([], [])
+    with pytest.raises(ValueError, match="sums to nan"):
+        StochasticMatrix(1, 1, dense=np.array([[np.nan]]))
+    with pytest.raises(ValueError, match="sums to nan"):
+        StochasticMatrix(2, 1, indptr=np.array([0, 2]), rowidx=np.array([1, 2]),
+                         values=np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        StochasticMatrix(2, 1, indptr=np.array([0, 2]), rowidx=np.array([1, 2]),
+                         values=np.array([1.5, -0.5]))

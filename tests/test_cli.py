@@ -189,3 +189,18 @@ def test_analyze_does_not_build_the_pair_output_matrix(capsys, monkeypatch):
     assert code == EXIT_OK
     optima = sorted(o["variables"] for o in json.loads(out)["sensors"]["optima"])
     assert optima == [[1, 2], [1, 3]]
+
+
+def test_only_dot_builds_the_expectation_matrix(capsys, monkeypatch, tmp_path):
+    from pbn_minobs import StochasticMatrix
+
+    def boom(*args, **kwargs):
+        raise AssertionError("expectation matrix built")
+
+    monkeypatch.setattr(StochasticMatrix, "from_weighted_maps", boom)
+    code, _, _ = run(capsys, "reach", MODEL_PATH, "--target", "S2")
+    assert code == EXIT_OK
+    code, _, _ = run(capsys, "analyze", MODEL_PATH, "--quiet", "--sensors")
+    assert code == EXIT_OK
+    with pytest.raises(AssertionError, match="expectation matrix built"):
+        main(["analyze", str(MODEL_PATH), "--quiet", "--dot", str(tmp_path / "s1.dot")])

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from pbn_minobs import LogicalMatrix, khatri_rao, kron, logical_compose, stp
+from pbn_minobs import (
+    LogicalMatrix,
+    ModelFormatError,
+    khatri_rao,
+    kron,
+    logical_compose,
+    parse_model,
+    stp,
+)
 from pbn_minobs.errors import ResourceLimitError
 
 from conftest import APOPTOSIS_H, APOPTOSIS_L, APOPTOSIS_P
@@ -136,3 +144,14 @@ def test_logical_matrix_validation():
         LogicalMatrix(2, [0, 1])
     with pytest.raises(ValueError):
         LogicalMatrix(2, [1, 3])
+
+
+def test_logical_matrix_needs_integer_indices():
+    for bad in ([1.7, 2.2], [1.0, float("nan")], [float("inf"), 1]):
+        with pytest.raises(ValueError, match="must be integers"):
+            LogicalMatrix(2, bad)
+    assert LogicalMatrix(2, [1.0, 2.0]) == LogicalMatrix(2, np.array([1, 2], dtype=np.int32))
+    assert LogicalMatrix(2, []).cols == 0
+    huge = "states: 1\noutputs: 1\nsubnetworks: 1\np: 1\n[net 1]\nL = delta2[1 %d]\n" % 10**30
+    with pytest.raises(ModelFormatError, match="line 6: column indices must lie in"):
+        parse_model(huge + "[output]\nH = delta2[1 2]\n")
