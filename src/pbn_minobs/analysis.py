@@ -4,14 +4,25 @@ Pipeline: classify which indistinguishable pairs already reach the
 distinguishable region robustly; the rest must be handled.  Pairs that can
 hit the diagonal in one step, and positive-probability fixed points, must be
 separated directly.  Whatever remains is reduced through its maximum
-invariant set and an exhaustive minimal-subset search, yielding all candidate
-target sets whose separation restores observability.
+invariant set and a minimal anchor search, yielding all candidate target
+sets whose separation restores observability.
+
+Every exit of a searched residual is already settled, so an anchor set is
+exactly a set of residual pairs that breaks every cycle of the successor
+graph once each pair is identified with its mirror.  Every cycle lies inside
+one strongly connected component (Tarjan, SIAM J. Comput. 1972), so the
+minimal anchor sets are the products of each cyclic component's minimal
+cycle-breaking sets, and the subset cap bounds each such component's size.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations, product
+from math import prod
+from operator import or_
 
 import numpy as np
 
@@ -27,6 +38,7 @@ from .partition import (
     partition_states,
 )
 from .reachability import robust_reach
+from .stp import check_size
 
 DEFAULT_SUBSET_CAP = 20
 
@@ -108,9 +120,44 @@ def minimal_anchor_sets(
     """Minimal subsets G of ``invariant`` whose separation drags the rest along.
 
     A subset qualifies when every other member robustly reaches the
-    mirror-closed union of G and ``external_target``.  Enumeration runs in
-    ascending cardinality (then lexicographic), so supersets of kept sets are
-    skipped and the result is an antichain.
+    mirror-closed union of G and ``external_target``.  The result is the
+    antichain of all minimal such G, in ascending cardinality and then
+    lexicographic order.
+
+    When every exit of ``invariant`` is already settled, G qualifies exactly
+    when it breaks every cycle of the mirror-folded successor graph on
+    ``invariant``, so the answer is the product of each cyclic strongly
+    connected component's minimal cycle-breaking sets, and ``cap`` bounds
+    each such component's size.  Otherwise the subsets of ``invariant`` are
+    searched exhaustively, and ``cap`` bounds ``len(invariant)``.
+    """
+    if not invariant:
+        return ()
+    components = _cyclic_components(invariant, aug, external_target, cap)
+    if components is None:
+        return _exhaustive_anchor_sets(invariant, aug, external_target, cap)
+    per_component = [
+        [[members[v] for v in _bits(chosen)] for chosen in _minimal_cycle_breakers(succ)]
+        for members, succ in components
+    ]
+    check_size(prod(len(c) for c in per_component), invariant.universe, "anchor sets")
+    anchors = sorted(
+        (sorted(chain.from_iterable(choice)) for choice in product(*per_component)),
+        key=lambda combo: (len(combo), combo),
+    )
+    return tuple(StateSet.from_indices(invariant.universe, combo) for combo in anchors)
+
+
+def _exhaustive_anchor_sets(
+    invariant: StateSet,
+    aug: AugmentedSystem,
+    external_target: StateSet,
+    cap: int,
+) -> tuple[StateSet, ...]:
+    """Reference search: one robust reach per subset, in ascending cardinality.
+
+    Enumeration runs in ascending cardinality (then lexicographic), so
+    supersets of kept sets are skipped and the result is an antichain.
     """
     members = invariant.indices()
     count = len(members)
@@ -138,6 +185,180 @@ def minimal_anchor_sets(
     return tuple(anchors)
 
 
+def _cyclic_components(
+    invariant: StateSet, aug: AugmentedSystem, external_target: StateSet, cap: int
+) -> list[tuple[list[int], list[int]]] | None:
+    """Cyclic SCCs of the mirror-folded successor graph on ``invariant``.
+
+    Each component is (its 1-based pair indices, the successor bitmask of
+    each of its states over their positions in that list).  Returns None
+    when the cycle view does not decide the anchor search: see
+    :func:`_folded_graph`, or no component has a cycle.  Raises
+    ResourceLimitError as soon as a cyclic component has more than ``cap``
+    states.
+    """
+    graph = _folded_graph(invariant, aug, external_target)
+    if graph is None:
+        return None
+    states, edges, degree = graph
+
+    def successors(v: int) -> array:
+        return edges[v * degree : (v + 1) * degree]
+
+    components = []
+    for comp in _strongly_connected(edges, degree):
+        if len(comp) == 1 and comp[0] not in successors(comp[0]):
+            continue
+        if len(comp) > cap:
+            raise ResourceLimitError(
+                f"anchor search: a strongly connected component of {len(comp)} "
+                f"residual states exceeds the cap {cap}; reduce the network or raise the cap"
+            )
+        local = {v: k for k, v in enumerate(comp)}
+        masks = [reduce(or_, (1 << local[w] for w in successors(v) if w in local), 0) for v in comp]
+        components.append(([int(states[v]) + 1 for v in comp], masks))
+    return components or None
+
+
+def _folded_graph(
+    invariant: StateSet, aug: AugmentedSystem, external_target: StateSet
+) -> tuple[np.ndarray, array, int] | None:
+    """The successor graph on ``invariant`` with each pair identified with its mirror.
+
+    Returns (the 0-based members, the edge table, the degree): the
+    successors of member v are ``edges[v*degree:(v+1)*degree]``, as member
+    positions, with -1 for a successor outside the mirror closure.  Returns
+    None when a member is not a canonical i < j pair, the mirror closure
+    meets the mirror-closed target, or an exit of the closure neither lies
+    in that target nor robustly reaches it.
+    """
+    size = 1 << aug.model.n
+    states = np.flatnonzero(invariant.bits)
+    first, second = np.divmod(states, size)
+    if not (first < second).all():
+        return None
+    position = np.full(aug.pair_count, -1, dtype=np.int32)
+    position[states] = position[second * size + first] = np.arange(states.size)
+    target = mirror_close(external_target, aug.model.n)
+    if target.bits[position >= 0].any():
+        return None
+    succ = aug.successors[:, states]
+    heads = position[succ]
+    exits = succ[heads < 0]
+    if exits.size:
+        settled = target.bits | robust_reach(target, aug).union.bits
+        if not settled[exits].all():
+            return None
+    return states, array("i", heads.T.tobytes()), succ.shape[0]
+
+
+def _strongly_connected(edges: array, degree: int):
+    """Yield the SCCs of a graph by Tarjan's algorithm, without recursion.
+
+    The successors of state v are ``edges[v*degree:(v+1)*degree]``, where -1
+    stands for no successor.  Every per-state table is a flat array, so
+    memory stays linear and compact.
+    """
+    count = len(edges) // degree
+    index = array("i", [-1]) * count
+    low = array("i", [0]) * count
+    on_stack = bytearray(count)
+    stack = array("i")
+    # The DFS path: each state, its next unread edge and its place on the stack.
+    path, next_edge, base = array("i"), array("q"), array("i")
+    counter = 0
+
+    def visit(v: int) -> None:
+        nonlocal counter
+        index[v] = low[v] = counter
+        counter += 1
+        path.append(v)
+        next_edge.append(v * degree)
+        base.append(len(stack))
+        stack.append(v)
+        on_stack[v] = 1
+
+    for root in range(count):
+        if index[root] >= 0:
+            continue
+        visit(root)
+        while path:
+            v = path[-1]
+            e, end = next_edge[-1], (v + 1) * degree
+            while e < end and (edges[e] < 0 or index[edges[e]] >= 0):
+                w = edges[e]
+                if w >= 0 and on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+                e += 1
+            if e < end:
+                next_edge[-1] = e + 1
+                visit(edges[e])
+                continue
+            path.pop()
+            next_edge.pop()
+            start = base.pop()
+            if path and low[v] < low[path[-1]]:
+                low[path[-1]] = low[v]
+            if low[v] == index[v]:
+                component = stack[start:]
+                del stack[start:]
+                for w in component:
+                    on_stack[w] = 0
+                yield component
+
+
+def _minimal_cycle_breakers(succ: list[int]) -> list[int]:
+    """Every inclusion-minimal vertex set whose removal leaves the graph acyclic.
+
+    Vertices are bit positions and ``succ[v]`` is the successor bitmask of
+    v.  Subsets are tried in ascending size and supersets of kept sets are
+    skipped; once every subset of one size is skipped, all larger ones are.
+    """
+    everything = (1 << len(succ)) - 1
+    vertices = [1 << v for v in range(len(succ))]
+    kept: list[int] = []
+    for r in range(1, len(succ) + 1):
+        tried = False
+        for combo in combinations(vertices, r):
+            chosen = sum(combo)
+            if any(k & chosen == k for k in kept):
+                continue
+            tried = True
+            if _acyclic(succ, everything & ~chosen):
+                kept.append(chosen)
+        if not tried:
+            break
+    return kept
+
+
+def _acyclic(succ: list[int], alive: int) -> bool:
+    """Kahn's algorithm on the subgraph induced by the bitmask ``alive``."""
+    indegree = {v: 0 for v in _bits(alive)}
+    for v in indegree:
+        for w in _bits(succ[v] & alive):
+            indegree[w] += 1
+    ready = [v for v, d in indegree.items() if d == 0]
+    removed = 0
+    while ready:
+        v = ready.pop()
+        removed += 1
+        for w in _bits(succ[v] & alive):
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                ready.append(w)
+    return removed == len(indegree)
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def candidate_sufficient(candidate: StateSet, aug: AugmentedSystem, part: Partition) -> bool:
     """Does separating ``candidate`` make every indistinguishable pair distinguishable?"""
     n = aug.model.n
@@ -147,6 +368,8 @@ def candidate_sufficient(candidate: StateSet, aug: AugmentedSystem, part: Partit
 
 def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> AnalysisReport:
     """Run the full target-set search and return every minimal candidate."""
+    if subset_cap < 0:
+        raise ValueError(f"subset cap must be nonnegative, got {subset_cap}")
     aug = build_augmented(model)
     part = partition_states(model)
     n = model.n
@@ -212,6 +435,7 @@ def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> An
         second_residual, aug, core_target | invariant | widened, cap=subset_cap
     )
     second_choices = second_anchors if second_anchors else (empty,)
+    check_size(len(anchor_choices) * len(second_choices), universe, "candidate sets")
     candidates = tuple(core | a | b for a in anchor_choices for b in second_choices)
     return report(
         core_reach=core_reach,

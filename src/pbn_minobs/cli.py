@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -35,6 +36,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_RESOURCE = 4
+
+JSON_BLOCK_CHUNKS = 1024
 
 
 def _pairs_json(states: StateSet, n: int) -> list[dict]:
@@ -112,6 +115,21 @@ def build_report(
             "diagnostics": list(plan.diagnostics),
         }
     return doc
+
+
+def write_json(doc, stream) -> None:
+    """Write ``json.dumps(doc, indent=2)`` and a newline to ``stream``, in blocks.
+
+    With ``indent`` set the encoder is pure Python and yields one small str
+    per token.  Joining them all at once holds several times the text's
+    size; blocks of ``JSON_BLOCK_CHUNKS`` chunks (about 10 KB of text) keep
+    every transient string small.
+    """
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    # Every chunk is non-empty, so only the exhausted encoder gives "".
+    while block := "".join(islice(chunks, JSON_BLOCK_CHUNKS)):
+        stream.write(block)
+    stream.write("\n")
 
 
 def _fmt_pairs(states: StateSet, n: int) -> str:
@@ -236,11 +254,11 @@ def cmd_analyze(args) -> int:
         aug = build_augmented(model)
         write_s1_graph(args.dot, model, aug, analysis.partition)
     report = build_report(args.path, model, analysis, plan, timing, args.max_subset)
-    text = json.dumps(report, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as stream:
+            write_json(report, stream)
     else:
-        print(text)
+        write_json(report, sys.stdout)
     if not args.quiet:
         for line in _summary_lines(model, analysis, plan):
             print(line, file=sys.stderr)
@@ -297,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_SUBSET_CAP,
         metavar="CAP",
-        help="cap on exhaustive subset enumeration (default %(default)s)",
+        help="cap on the states of one cyclic strongly connected component of a "
+        "residual in the anchor search (default %(default)s)",
     )
     p.set_defaults(func=cmd_analyze)
 

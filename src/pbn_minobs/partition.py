@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PbnModel
+from .stp import integer_indices
 
 
 class StateSet:
@@ -59,7 +60,9 @@ class StateSet:
 
     @classmethod
     def from_indices(cls, universe: int, indices) -> "StateSet":
-        idx = np.fromiter(indices, dtype=np.int64)
+        if not isinstance(indices, np.ndarray):
+            indices = list(indices)
+        idx = integer_indices(indices, universe, "indices")
         outside = idx[(idx < 1) | (idx > universe)]
         if outside.size:
             raise ValueError(f"index {outside[0]} out of range [1, {universe}]")

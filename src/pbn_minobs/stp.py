@@ -32,13 +32,33 @@ def dimension_cap() -> int:
     return cap
 
 
-def _check_size(rows: int, cols: int, what: str = "matrix") -> None:
+def check_size(rows: int, cols: int, what: str = "matrix") -> None:
+    """Raise ResourceLimitError when ``rows * cols`` entries would pass the cap."""
     cap = dimension_cap()
     if rows * cols > cap:
         raise ResourceLimitError(
             f"{what} of size {rows}x{cols} exceeds the entry cap {cap} "
             f"(override with {_CAP_ENV_VAR})"
         )
+
+
+def integer_indices(values, upper: int, what: str) -> np.ndarray:
+    """``values`` as a 1-D int64 array, refusing any value the conversion would change.
+
+    A fractional, NaN or infinite value raises "``what`` must be integers";
+    one beyond int64 raises "``what`` must lie in [1, ``upper``]".
+    """
+    raw = np.asarray(values)
+    try:
+        with np.errstate(invalid="ignore"):
+            idx = raw.astype(np.int64, copy=False)
+    except OverflowError:
+        raise ValueError(f"{what} must lie in [1, {upper}]") from None
+    if not np.array_equal(idx, raw):
+        raise ValueError(f"{what} must be integers")
+    if idx.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional")
+    return idx
 
 
 class LogicalMatrix:
@@ -53,18 +73,11 @@ class LogicalMatrix:
     def __init__(self, rows: int, col_index) -> None:
         if rows <= 0:
             raise ValueError(f"rows must be positive, got {rows}")
-        raw = np.asarray(col_index)
-        try:
-            with np.errstate(invalid="ignore"):
-                idx = raw.astype(np.int64, copy=False)
-        except OverflowError:
-            raise ValueError(f"column indices must lie in [1, {rows}]") from None
-        if not np.array_equal(idx, raw):
-            raise ValueError("column indices must be integers")
-        if idx.ndim != 1:
-            raise ValueError("col_index must be one-dimensional")
+        idx = integer_indices(col_index, rows, "column indices")
         if idx.size and (idx.min() < 1 or idx.max() > rows):
             raise ValueError(f"column indices must lie in [1, {rows}]")
+        if idx is col_index or idx.base is not None:
+            idx = idx.copy()  # freezing below must not freeze the caller's array
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", int(idx.size))
         idx.setflags(write=False)
@@ -89,7 +102,7 @@ class LogicalMatrix:
         return int(self.col_index[c - 1])
 
     def dense(self) -> np.ndarray:
-        _check_size(self.rows, self.cols)
+        check_size(self.rows, self.cols)
         out = np.zeros((self.rows, self.cols))
         out[self.col_index - 1, np.arange(self.cols)] = 1.0
         return out
@@ -177,9 +190,9 @@ def stp(a, b) -> np.ndarray:
     lam = math.lcm(ac, br)
     ia = lam // ac
     ib = lam // br
-    _check_size(ar * ia, lam, "left STP factor")
-    _check_size(lam, bc * ib, "right STP factor")
-    _check_size(ar * ia, bc * ib, "STP result")
+    check_size(ar * ia, lam, "left STP factor")
+    check_size(lam, bc * ib, "right STP factor")
+    check_size(ar * ia, bc * ib, "STP result")
     left = np.kron(am, np.eye(ia)) if ia > 1 else am
     right = np.kron(bm, np.eye(ib)) if ib > 1 else bm
     return left @ right
@@ -188,12 +201,12 @@ def stp(a, b) -> np.ndarray:
 def kron(a, b):
     """Kronecker product; logical times logical stays logical."""
     if isinstance(a, LogicalMatrix) and isinstance(b, LogicalMatrix):
-        _check_size(a.rows * b.rows, a.cols * b.cols, "Kronecker result")
+        check_size(a.rows * b.rows, a.cols * b.cols, "Kronecker result")
         combined = ((a.col_index - 1) * b.rows)[:, None] + b.col_index[None, :]
         return LogicalMatrix(a.rows * b.rows, combined.ravel())
     am = _as_2d(a)
     bm = _as_2d(b)
-    _check_size(am.shape[0] * bm.shape[0], am.shape[1] * bm.shape[1], "Kronecker result")
+    check_size(am.shape[0] * bm.shape[0], am.shape[1] * bm.shape[1], "Kronecker result")
     return np.kron(am, bm)
 
 
@@ -202,13 +215,13 @@ def khatri_rao(a, b):
     if isinstance(a, LogicalMatrix) and isinstance(b, LogicalMatrix):
         if a.cols != b.cols:
             raise ValueError(f"column counts differ: {a.cols} vs {b.cols}")
-        _check_size(a.rows * b.rows, a.cols, "Khatri-Rao result")
+        check_size(a.rows * b.rows, a.cols, "Khatri-Rao result")
         return LogicalMatrix(a.rows * b.rows, (a.col_index - 1) * b.rows + b.col_index)
     am = _as_2d(a)
     bm = _as_2d(b)
     if am.shape[1] != bm.shape[1]:
         raise ValueError(f"column counts differ: {am.shape[1]} vs {bm.shape[1]}")
-    _check_size(am.shape[0] * bm.shape[0], am.shape[1], "Khatri-Rao result")
+    check_size(am.shape[0] * bm.shape[0], am.shape[1], "Khatri-Rao result")
     return np.einsum("ik,jk->ijk", am, bm).reshape(am.shape[0] * bm.shape[0], am.shape[1])
 
 

@@ -1,6 +1,9 @@
+from array import array
+
 import numpy as np
 import pytest
 
+from pbn_minobs import analysis
 from pbn_minobs import (
     LogicalMatrix,
     PbnModel,
@@ -137,6 +140,83 @@ def test_anchor_sets_cap():
     big = StateSet.from_indices(64, range(1, 30))
     with pytest.raises(ResourceLimitError):
         minimal_anchor_sets(big, aug, StateSet.empty(64), cap=8)
+
+
+def test_anchor_sets_fall_back_on_non_canonical_sets():
+    # Diagonal and mirrored pairs leave the cycle view undecided; the
+    # exhaustive search answers within a cap that covers the whole set.
+    rng = np.random.default_rng(53)
+    model = random_model(rng, n=2)
+    aug = build_augmented(model)
+    mixed = StateSet.from_indices(16, range(1, 9))
+    empty = StateSet.empty(16)
+    assert analysis._cyclic_components(mixed, aug, empty, cap=8) is None
+    anchors = minimal_anchor_sets(mixed, aug, empty, cap=8)
+    assert anchors and anchors == analysis._exhaustive_anchor_sets(mixed, aug, empty, cap=8)
+
+
+def test_strongly_connected_matches_mutual_reachability():
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        count, degree = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        edges = rng.integers(-1, count, size=count * degree)
+        reach = np.eye(count, dtype=bool)
+        for v, w in zip(np.repeat(np.arange(count), degree), edges):
+            if w >= 0:
+                reach[v, w] = True
+        for _ in range(count.bit_length()):
+            reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
+        mutual = reach & reach.T
+        expected = {frozenset(np.flatnonzero(row).tolist()) for row in mutual}
+        found = analysis._strongly_connected(array("i", edges.tolist()), degree)
+        found = [frozenset(c) for c in found]
+        assert len(found) == len(expected) and set(found) == expected
+
+
+def test_anchor_sets_match_exhaustive_search(monkeypatch):
+    # Every anchor search the pipeline makes on random models, rerun by the
+    # exhaustive reference wherever that decides within its cap.
+    searches = []
+    fast = analysis.minimal_anchor_sets
+
+    def recording(invariant, aug, external_target, cap):
+        searches.append((invariant, aug, external_target))
+        return fast(invariant, aug, external_target, cap=cap)
+
+    monkeypatch.setattr(analysis, "minimal_anchor_sets", recording)
+    rng = np.random.default_rng(57)
+    for _ in range(300):
+        model = random_model(rng, n=int(rng.integers(2, 6)))
+        try:
+            minimal_targets(model, subset_cap=14)
+        except ResourceLimitError:
+            pass
+    decided = 0
+    for invariant, aug, external in searches:
+        try:
+            expected = analysis._exhaustive_anchor_sets(invariant, aug, external, cap=12)
+        except ResourceLimitError:
+            continue
+        if invariant:
+            assert analysis._cyclic_components(invariant, aug, external, cap=14) is not None
+        assert fast(invariant, aug, external, cap=14) == expected
+        decided += bool(invariant)
+    assert decided >= 50
+
+
+def test_anchor_and_candidate_sets_checked_against_dimension_cap(monkeypatch):
+    # Two anchor sets in each stage give four candidates over 64 pair states.
+    model = random_model(np.random.default_rng(10838), n=3, m=2, q=1)
+    aug = build_augmented(model)
+    report = minimal_targets(model)
+    assert len(report.invariant_anchors) == len(report.second_anchors) == 2
+    assert len(report.candidates) == 4
+    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "200")
+    with pytest.raises(ResourceLimitError, match="candidate sets of size 4x64"):
+        minimal_targets(model)
+    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "100")
+    with pytest.raises(ResourceLimitError, match="anchor sets of size 2x64"):
+        minimal_anchor_sets(report.invariant_set, aug, report.core_target)
 
 
 def test_pipeline_on_bundled_model(apoptosis):

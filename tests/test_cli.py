@@ -161,6 +161,40 @@ def test_max_subset_cap_maps_to_resource_exit(tmp_path, capsys):
     assert json.loads(out)["analysis"]["candidates"]
 
 
+def test_negative_max_subset_is_rejected(tmp_path, capsys):
+    cycle = tmp_path / "cycle.pbn"
+    cycle.write_text(
+        "states: 2\noutputs: 1\nsubnetworks: 1\np: 1.0\n"
+        "[net 1]\nL = delta4[3 4 1 2]\n[output]\nH = delta2[1 1 1 1]\n"
+    )
+    for model in (MODEL_PATH, cycle):
+        code, out, err = run(capsys, "analyze", model, "--quiet", "--max-subset", "-1")
+        assert code == EXIT_VALIDATION
+        assert not out
+        assert "subset cap must be nonnegative, got -1" in err
+
+
+def test_report_written_in_blocks_matches_json_dumps(capsys, monkeypatch, tmp_path):
+    import io
+
+    import pbn_minobs.cli as cli_mod
+
+    code, out, _ = run(capsys, "analyze", MODEL_PATH, "--sensors", "--quiet")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    monkeypatch.setattr(cli_mod, "JSON_BLOCK_CHUNKS", 100)
+    chunks = list(json.JSONEncoder(indent=2).iterencode(doc))
+    assert len(chunks) > 10 * cli_mod.JSON_BLOCK_CHUNKS
+    stream = io.StringIO()
+    cli_mod.write_json(doc, stream)
+    assert stream.getvalue() == json.dumps(doc, indent=2) + "\n"
+    report = tmp_path / "report.json"
+    assert run(capsys, "analyze", MODEL_PATH, "--sensors", "--quiet", "--out", report)[0] == EXIT_OK
+    written = report.read_text(encoding="utf-8")
+    assert written == json.dumps(json.loads(written), indent=2) + "\n"
+
+
 def test_infeasible_cover_maps_to_exit_3(capsys, monkeypatch):
     import pbn_minobs.cli as cli_mod
     from pbn_minobs import InfeasibleCoverError

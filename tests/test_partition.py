@@ -116,6 +116,17 @@ def test_state_set_guards():
         StateSet.from_indices(4, [1]) | StateSet.from_indices(8, [1])
 
 
+def test_state_set_needs_integer_indices():
+    for bad in ([1.7, 2.2], [1.0, float("nan")], np.array([2.5])):
+        with pytest.raises(ValueError, match="must be integers"):
+            StateSet.from_indices(10, bad)
+    with pytest.raises(ValueError, match="must lie in"):
+        StateSet.from_indices(10, [10**30])
+    assert StateSet.from_indices(10, [1.0, 2.0]).indices() == (1, 2)
+    assert StateSet.from_indices(10, (k for k in (3, 4))).indices() == (3, 4)
+    assert StateSet.from_indices(10, np.array([5], dtype=np.int32)).indices() == (5,)
+
+
 def test_pair_index_range_checks():
     with pytest.raises(ValueError):
         pair_index(0, 1, 2)

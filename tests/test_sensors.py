@@ -242,3 +242,28 @@ def test_extension_closes_the_loop_on_random_models():
             flag, _ = is_observable(extend_output(model, cover))
             assert flag
     assert seen >= 5
+
+
+def test_min_size_matches_direct_measurement_search():
+    # Independent of the candidates: the smallest measurement set V whose
+    # extended output makes the model observable.
+    rng = np.random.default_rng(66)
+    checked = 0
+    for _ in range(400):
+        model = random_model(rng, n=int(rng.integers(2, 6)))
+        try:
+            report = minimal_targets(model, subset_cap=14)
+        except ResourceLimitError:
+            continue
+        if report.observable:
+            continue
+        plan = global_min_sensors(report, model)
+        variables = range(1, model.n + 1)
+        direct = next(
+            r
+            for r in variables
+            if any(is_observable(extend_output(model, v))[0] for v in combinations(variables, r))
+        )
+        assert plan.min_size == direct
+        checked += 1
+    assert checked >= 100

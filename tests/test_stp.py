@@ -146,6 +146,15 @@ def test_logical_matrix_validation():
         LogicalMatrix(2, [1, 3])
 
 
+def test_logical_matrix_leaves_the_callers_array_writable():
+    for a in (np.array([1, 2, 1]), np.arange(1, 7).reshape(2, 3).ravel()):
+        mat = LogicalMatrix(2 * a.size, a)
+        assert a.flags.writeable
+        a[0] = 2
+        assert mat.col_index[0] == 1
+        assert not mat.col_index.flags.writeable
+
+
 def test_logical_matrix_needs_integer_indices():
     for bad in ([1.7, 2.2], [1.0, float("nan")], [float("inf"), 1]):
         with pytest.raises(ValueError, match="must be integers"):
