@@ -377,67 +377,40 @@ def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> An
     empty = StateSet.empty(universe)
 
     distinguishable, indist = _distinguishable_split(aug, part)
-    observable = not indist
-
     diag_hitters = one_step_to_diagonal(indist, aug)
     fixed = positive_prob_fixed_points(indist, aug)
     core = diag_hitters | fixed
     core_target = core | part.s2
 
-    def report(**kwargs) -> AnalysisReport:
-        base = dict(
-            partition=part,
-            observable=observable,
-            witness=indist,
-            distinguishable=distinguishable,
-            indistinguishable=indist,
-            one_step_diagonal=diag_hitters,
-            fixed_points=fixed,
-            core=core,
-            core_target=core_target,
-            core_reach=empty,
-            residual=empty,
-            invariant_set=empty,
-            invariant_anchors=(),
-            second_residual=empty,
-            second_anchors=(),
-            candidates=(),
-            subset_cap=subset_cap,
-        )
-        base.update(kwargs)
-        return AnalysisReport(**base)
+    core_reach = residual = invariant = second_residual = empty
+    anchors = second_anchors = candidates = ()
+    if indist:
+        core_reach = robust_reach(mirror_close(core_target, n), aug).union
+        residual = indist - (core | core_reach)
+        if residual:
+            invariant = canonicalize(maximum_invariant_set(mirror_close(residual, n), aug), n)
+            anchors = minimal_anchor_sets(invariant, aug, core_target, cap=subset_cap)
+            widened = robust_reach(mirror_close(core_target | invariant, n), aug).union
+            second_residual = residual - (invariant | widened)
+            if second_residual:
+                second_anchors = minimal_anchor_sets(
+                    second_residual, aug, core_target | invariant | widened, cap=subset_cap
+                )
+        anchor_choices = anchors or (empty,)
+        second_choices = second_anchors or (empty,)
+        check_size(len(anchor_choices) * len(second_choices), universe, "candidate sets")
+        candidates = tuple(core | a | b for a in anchor_choices for b in second_choices)
 
-    if observable:
-        return report()
-
-    core_reach = robust_reach(mirror_close(core_target, n), aug).union
-    residual = indist - (core | core_reach)
-    if not residual:
-        return report(core_reach=core_reach, candidates=(core,))
-
-    invariant = canonicalize(maximum_invariant_set(mirror_close(residual, n), aug), n)
-    anchors = minimal_anchor_sets(invariant, aug, core_target, cap=subset_cap)
-
-    widened = robust_reach(mirror_close(core_target | invariant, n), aug).union
-    second_residual = residual - (invariant | widened)
-
-    anchor_choices = anchors if anchors else (empty,)
-    if not second_residual:
-        return report(
-            core_reach=core_reach,
-            residual=residual,
-            invariant_set=invariant,
-            invariant_anchors=anchors,
-            candidates=tuple(core | a for a in anchor_choices),
-        )
-
-    second_anchors = minimal_anchor_sets(
-        second_residual, aug, core_target | invariant | widened, cap=subset_cap
-    )
-    second_choices = second_anchors if second_anchors else (empty,)
-    check_size(len(anchor_choices) * len(second_choices), universe, "candidate sets")
-    candidates = tuple(core | a | b for a in anchor_choices for b in second_choices)
-    return report(
+    return AnalysisReport(
+        partition=part,
+        observable=not indist,
+        witness=indist,
+        distinguishable=distinguishable,
+        indistinguishable=indist,
+        one_step_diagonal=diag_hitters,
+        fixed_points=fixed,
+        core=core,
+        core_target=core_target,
         core_reach=core_reach,
         residual=residual,
         invariant_set=invariant,
@@ -445,4 +418,5 @@ def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> An
         second_residual=second_residual,
         second_anchors=second_anchors,
         candidates=candidates,
+        subset_cap=subset_cap,
     )

@@ -1,10 +1,11 @@
-"""Parallel-copy dynamics: pair-state maps, expected transition matrices.
+"""Parallel-copy dynamics: pair-state successors, expected transition matrices.
 
 Two copies of the network driven by one switching signal evolve the pair
-(i, j) to (L_v(i), L_v(j)).  The pair maps are kept as logical matrices
-(column-index arrays), never as dense 4^n x 4^n arrays.  Every fixpoint is
-built from the pre-image operators ``pre_all`` (all successors inside a bool
-array over the pair space) and ``pre_any`` (some successor inside).
+(i, j) to (L_v(i), L_v(j)).  The pair maps are kept as one successor array
+(a row of 0-based pair indices per positive-probability subnetwork), never
+as dense 4^n x 4^n arrays.  Every fixpoint is built from the pre-image
+operators ``pre_all`` (all successors inside a bool array over the pair
+space) and ``pre_any`` (some successor inside).
 """
 
 from __future__ import annotations
@@ -16,25 +17,24 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .model import PbnModel
-from .stp import LogicalMatrix, dimension_cap, kron
+from .stp import LogicalMatrix, check_size, dimension_cap, kron
 
 COLUMN_SUM_TOL = 1e-9
-_SPARSE_DENSITY_THRESHOLD = 0.25
 
 
 class StochasticMatrix:
-    """Nonnegative matrix with unit column sums.
+    """Nonnegative matrix with unit column sums, stored column-sparse.
 
-    Stored dense above 25% fill, column-sparse (CSC-style arrays) below.
+    Column j (1-based) holds the entries ``values[indptr[j-1]:indptr[j]]``
+    in the 1-based rows ``rowidx[indptr[j-1]:indptr[j]]``, ascending.
     Row/column indices at the API boundary are 1-based.
     """
 
-    __slots__ = ("rows", "cols", "_dense", "_indptr", "_rowidx", "_values")
+    __slots__ = ("rows", "cols", "_indptr", "_rowidx", "_values")
 
-    def __init__(self, rows, cols, dense=None, indptr=None, rowidx=None, values=None):
+    def __init__(self, rows, cols, indptr, rowidx, values):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_dense", dense)
         object.__setattr__(self, "_indptr", indptr)
         object.__setattr__(self, "_rowidx", rowidx)
         object.__setattr__(self, "_values", values)
@@ -44,15 +44,11 @@ class StochasticMatrix:
         raise AttributeError("StochasticMatrix is immutable")
 
     def _validate(self) -> None:
-        if self.is_dense:
-            sums = self._dense.sum(axis=0)
-        else:
-            sums = np.bincount(self._entry_cols(), weights=self._values, minlength=self.cols)
+        sums = np.bincount(self._entry_cols(), weights=self._values, minlength=self.cols)
         bad = np.flatnonzero(~(np.abs(sums - 1.0) <= COLUMN_SUM_TOL))
         if bad.size:
             raise ValueError(f"column {bad[0] + 1} sums to {float(sums[bad[0]])!r}, expected 1")
-        values = self._values if self._values is not None else self._dense
-        if values is not None and values.size and not (float(np.min(values)) >= 0.0):
+        if self._values.size and not (float(np.min(self._values)) >= 0.0):
             raise ValueError("entries must be nonnegative")
 
     @classmethod
@@ -80,24 +76,12 @@ class StochasticMatrix:
         keys = np.stack([m.col_index for m in mats])[live] - 1 + np.arange(cols) * rows
         uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
         values = np.bincount(inverse, weights=np.repeat(w[live], cols), minlength=uniq.size)
-        rowidx = uniq % rows + 1
-        if rows * cols and uniq.size / (rows * cols) >= _SPARSE_DENSITY_THRESHOLD:
-            dense = np.zeros((rows, cols))
-            dense[rowidx - 1, uniq // rows] = values
-            return cls(rows, cols, dense=dense)
         indptr = np.searchsorted(uniq, np.arange(cols + 1) * rows)
-        return cls(rows, cols, indptr=indptr, rowidx=rowidx, values=values)
-
-    @property
-    def is_dense(self) -> bool:
-        return self._dense is not None
+        return cls(rows, cols, indptr=indptr, rowidx=uniq % rows + 1, values=values)
 
     def _col_slice(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         if not 1 <= j <= self.cols:
             raise ValueError(f"column {j} out of range [1, {self.cols}]")
-        if self.is_dense:
-            rows = np.flatnonzero(self._dense[:, j - 1]) + 1
-            return rows.astype(np.int64), self._dense[rows - 1, j - 1]
         lo, hi = self._indptr[j - 1], self._indptr[j]
         return self._rowidx[lo:hi], self._values[lo:hi]
 
@@ -120,19 +104,17 @@ class StochasticMatrix:
         return self.entry(j, j)
 
     def _entry_cols(self) -> np.ndarray:
-        """0-based column of each stored sparse entry."""
+        """0-based column of each stored entry."""
         return np.repeat(np.arange(self.cols), np.diff(self._indptr))
 
     def dense(self) -> np.ndarray:
-        if self.is_dense:
-            return self._dense.copy()
+        check_size(self.rows, self.cols)
         out = np.zeros((self.rows, self.cols))
         out[self._rowidx - 1, self._entry_cols()] = self._values
         return out
 
     def __repr__(self) -> str:
-        kind = "dense" if self.is_dense else "sparse"
-        return f"StochasticMatrix({self.rows}x{self.cols}, {kind})"
+        return f"StochasticMatrix({self.rows}x{self.cols})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +122,9 @@ class AugmentedSystem:
     """The paired system: the positive-probability successors of every pair state.
 
     ``successors[r, z]`` is the 0-based pair index that pair state z (0-based)
-    moves to under the r-th positive-probability subnetwork.  The pair maps,
-    their expectation and the paired output are built on first access.
+    moves to under the r-th positive-probability subnetwork; its rows are the
+    pair maps.  Their expectation (``q_matrix``, read from these rows) and
+    the paired output are built on first access.
     """
 
     model: PbnModel
@@ -156,14 +139,13 @@ class AugmentedSystem:
         return self.model.active
 
     @cached_property
-    def maps(self) -> tuple[LogicalMatrix, ...]:
-        """One pair map per subnetwork: ``maps[v]`` applies subnetwork v+1 to both copies."""
-        return tuple(pair_map(t) for t in self.model.transitions)
-
-    @cached_property
     def q_matrix(self) -> StochasticMatrix:
-        """Probability-weighted expectation of the pair maps."""
-        return StochasticMatrix.from_weighted_maps(self.maps, self.model.probs)
+        """Probability-weighted expectation of the pair maps, built from ``successors``."""
+        probs = self.model.probs
+        return StochasticMatrix.from_weighted_maps(
+            [LogicalMatrix(self.pair_count, row + 1) for row in self.successors],
+            [probs[v] for v in self.active],
+        )
 
     @cached_property
     def pair_output(self) -> LogicalMatrix:

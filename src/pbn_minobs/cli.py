@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from itertools import islice
 from pathlib import Path
 
@@ -291,7 +292,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pbn-minobs",
         description="Probability-one observability analysis and minimum sensor "
@@ -340,8 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ModelFormatError, ValueError, OSError) as exc:

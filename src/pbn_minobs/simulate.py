@@ -124,8 +124,8 @@ def exhaustive_distinguishability(
     """Whether every length-``horizon`` switching sequence separates the outputs.
 
     Only positive-probability subnetworks participate.  The check is memoized
-    over pair states, so it runs when either the raw sequence count or the
-    memoized step count fits the budget.
+    over pair states: at most min(horizon, 4^n) sweeps of every active pair
+    map, and that step count must fit the budget.
     """
     for x in (x0, x0_other):
         if not 1 <= x <= model.state_count:
@@ -134,11 +134,10 @@ def exhaustive_distinguishability(
         raise ValueError("horizon must be nonnegative")
     k = len(model.active)
     pair_count = model.state_count**2
-    raw_cost = k**max(horizon, 1)
-    memo_cost = max(horizon, 1) * pair_count * k
-    if min(raw_cost, memo_cost) > budget:
+    cost = min(max(horizon, 1), pair_count) * pair_count * k
+    if cost > budget:
         raise ResourceLimitError(
-            f"exhaustive check needs about {min(raw_cost, memo_cost)} sequence-steps, "
+            f"exhaustive check needs about {cost} pair-state steps, "
             f"over the budget {budget}; use the reachability analysis instead"
         )
     separated = pairs_distinguishable_within(model, horizon)

@@ -5,6 +5,7 @@ import pytest
 
 from pbn_minobs import (
     LogicalMatrix,
+    ResourceLimitError,
     StochasticMatrix,
     build_augmented,
     expected_transition,
@@ -44,8 +45,8 @@ def test_expected_q_columns(apoptosis):
 def test_pair_maps_share_the_switching_signal(apoptosis):
     aug = build_augmented(apoptosis)
     size = apoptosis.state_count
-    for v, pm in enumerate(aug.maps):
-        base = apoptosis.transitions[v]
+    for base in apoptosis.transitions:
+        pm = pair_map(base)
         for i in (1, 3, 8):
             for j in (2, 5, 7):
                 z = pair_index(i, j, apoptosis.n)
@@ -63,10 +64,16 @@ def test_index_arithmetic_matches_literal_product():
         aug = build_augmented(model)
         f_dense, q_dense = literal_pair_expectation(model)
         pairs = model.state_count**2
-        for v, pm in enumerate(aug.maps):
+        for v, t in enumerate(model.transitions):
             block = f_dense[:, v * pairs : (v + 1) * pairs]
-            assert np.array_equal(block, pm.dense())
+            assert np.array_equal(block, pair_map(t).dense())
         assert np.allclose(aug.q_matrix.dense(), q_dense, atol=1e-12)
+        from_maps = StochasticMatrix.from_weighted_maps(
+            [pair_map(t) for t in model.transitions], model.probs
+        )
+        for z in range(1, pairs + 1):
+            assert aug.q_matrix.column_dict(z) == from_maps.column_dict(z)
+        assert np.array_equal(aug.q_matrix.dense(), from_maps.dense())
 
 
 def test_diagonal_columns_stay_diagonal():
@@ -153,14 +160,12 @@ def test_zero_probability_subnetworks_excluded_from_support(apoptosis):
 
 def test_storage_switches_between_dense_and_sparse(apoptosis):
     aug = build_augmented(apoptosis)
-    assert not aug.q_matrix.is_dense  # 64x64 with <=4 entries per column
 
     from pbn_minobs import StochasticMatrix
 
     dense_like = StochasticMatrix.from_weighted_maps(
         [LogicalMatrix(2, [1, 2]), LogicalMatrix(2, [2, 1])], [0.5, 0.5]
     )
-    assert dense_like.is_dense  # every entry populated
 
     assert np.allclose(aug.q_matrix.dense().sum(axis=0), 1.0, atol=1e-9)
 
@@ -201,7 +206,7 @@ def test_successors_are_the_positive_probability_pair_maps():
         assert aug.successors.shape == (len(model.active), model.state_count**2)
         assert not aug.successors.flags.writeable
         for row, v in enumerate(model.active):
-            assert np.array_equal(aug.successors[row], aug.maps[v].col_index - 1)
+            assert np.array_equal(aug.successors[row], pair_map(model.transitions[v]).col_index - 1)
 
 
 def test_q_matrix_is_built_on_first_access_within_budget(apoptosis):
@@ -234,7 +239,6 @@ def reference_weighted_sum(maps, weights):
 
 def test_weighted_maps_match_per_column_reference():
     rng = np.random.default_rng(73)
-    storage = set()
     for _ in range(320):
         model = random_model(rng)
         for base in (list(model.transitions), [pair_map(t) for t in model.transitions]):
@@ -251,8 +255,6 @@ def test_weighted_maps_match_per_column_reference():
                 for r, value in acc.items():
                     ref_dense[r - 1, j - 1] = value
             assert np.array_equal(q.dense(), ref_dense)
-            storage.add(q.is_dense)
-    assert storage == {True, False}
 
 
 def test_weighted_maps_reject_bad_input():
@@ -263,10 +265,15 @@ def test_weighted_maps_reject_bad_input():
     with pytest.raises(ValueError, match="at least one map"):
         StochasticMatrix.from_weighted_maps([], [])
     with pytest.raises(ValueError, match="sums to nan"):
-        StochasticMatrix(1, 1, dense=np.array([[np.nan]]))
-    with pytest.raises(ValueError, match="sums to nan"):
         StochasticMatrix(2, 1, indptr=np.array([0, 2]), rowidx=np.array([1, 2]),
                          values=np.array([1.0, np.nan]))
     with pytest.raises(ValueError, match="nonnegative"):
         StochasticMatrix(2, 1, indptr=np.array([0, 2]), rowidx=np.array([1, 2]),
                          values=np.array([1.5, -0.5]))
+
+
+def test_dense_expectation_checked_against_dimension_cap(apoptosis, monkeypatch):
+    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "1000")
+    q = build_augmented(apoptosis).q_matrix
+    with pytest.raises(ResourceLimitError, match="entry cap 1000"):
+        q.dense()

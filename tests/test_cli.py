@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pbn_minobs.analysis import DEFAULT_SUBSET_CAP
 from pbn_minobs.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, main
 
 from conftest import CORE_EXPECTED, MODEL_PATH, S1_EXPECTED
@@ -72,6 +73,16 @@ def test_analyze_quiet_and_out(tmp_path, capsys):
     report = json.loads(out_path.read_text())
     assert report["sensors"] is None
     assert report["timing"]["total_s"] >= 0
+
+
+def test_consecutive_main_calls_keep_no_state(capsys):
+    code, out, err = run(capsys, "analyze", MODEL_PATH, "--quiet", "--max-subset", "5")
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["config"]["max_subset"] == 5
+    code, out, err = run(capsys, "analyze", MODEL_PATH)
+    assert code == EXIT_OK
+    assert "observable: no" in err
+    assert json.loads(out)["config"]["max_subset"] == DEFAULT_SUBSET_CAP
 
 
 def test_analyze_dot_export(tmp_path, capsys):
