@@ -7,7 +7,12 @@ separated directly.  Whatever remains is reduced through its maximum
 invariant set and a minimal anchor search, yielding all candidate target
 sets whose separation restores observability.
 
-Every exit of a searched residual is already settled, so an anchor set is
+Every exit of a searched set is already settled.  The invariant set folds a
+maximum invariant set, so it has none.  A second-residual successor is never
+diagonal (one-step diagonal hitters are core); outside the closure it lies in
+s2, the core, the invariant set or a mirror-closed reach union inside widened,
+so in the second search's own target.  Every member of either set keeps a
+successor inside its closure, so each set has a cycle.  An anchor set is then
 exactly a set of residual pairs that breaks every cycle of the successor
 graph once each pair is identified with its mirror.  Every cycle lies inside
 one strongly connected component (Tarjan, SIAM J. Comput. 1972), so the
@@ -112,30 +117,24 @@ def maximum_invariant_set(constraint: StateSet, aug: AugmentedSystem) -> StateSe
 
 
 def minimal_anchor_sets(
-    invariant: StateSet,
-    aug: AugmentedSystem,
-    external_target: StateSet,
-    cap: int = DEFAULT_SUBSET_CAP,
+    invariant: StateSet, aug: AugmentedSystem, cap: int = DEFAULT_SUBSET_CAP
 ) -> tuple[StateSet, ...]:
     """Minimal subsets G of ``invariant`` whose separation drags the rest along.
 
-    A subset qualifies when every other member robustly reaches the
-    mirror-closed union of G and ``external_target``.  The result is the
-    antichain of all minimal such G, in ascending cardinality and then
-    lexicographic order.
-
-    When every exit of ``invariant`` is already settled, G qualifies exactly
-    when it breaks every cycle of the mirror-folded successor graph on
-    ``invariant``, so the answer is the product of each cyclic strongly
-    connected component's minimal cycle-breaking sets, and ``cap`` bounds
-    each such component's size.  Otherwise the subsets of ``invariant`` are
-    searched exhaustively, and ``cap`` bounds ``len(invariant)``.
+    ``invariant`` holds canonical i < j pairs whose exits are all settled,
+    as in :func:`minimal_targets`.  G then qualifies exactly when it breaks
+    every cycle of the mirror-folded successor graph on ``invariant``, so
+    the answer is the product of each cyclic strongly connected component's
+    minimal cycle-breaking sets, in ascending cardinality and then
+    lexicographic order; it is ``()`` when no component is cyclic.  ``cap``
+    bounds each such component's size.  Raises ValueError for a set over
+    another pair space or holding a diagonal or mirrored pair.
     """
-    if not invariant:
+    if invariant.universe != aug.pair_count:
+        raise ValueError(f"universe mismatch: {invariant.universe} vs {aug.pair_count}")
+    components = _cyclic_components(invariant, aug, cap)
+    if not components:
         return ()
-    components = _cyclic_components(invariant, aug, external_target, cap)
-    if components is None:
-        return _exhaustive_anchor_sets(invariant, aug, external_target, cap)
     per_component = [
         [[members[v] for v in _bits(chosen)] for chosen in _minimal_cycle_breakers(succ)]
         for members, succ in components
@@ -148,59 +147,27 @@ def minimal_anchor_sets(
     return tuple(StateSet.from_indices(invariant.universe, combo) for combo in anchors)
 
 
-def _exhaustive_anchor_sets(
-    invariant: StateSet,
-    aug: AugmentedSystem,
-    external_target: StateSet,
-    cap: int,
-) -> tuple[StateSet, ...]:
-    """Reference search: one robust reach per subset, in ascending cardinality.
-
-    Enumeration runs in ascending cardinality (then lexicographic), so
-    supersets of kept sets are skipped and the result is an antichain.
-    """
-    members = invariant.indices()
-    count = len(members)
-    if count == 0:
-        return ()
-    if count > cap:
-        raise ResourceLimitError(
-            f"subset enumeration over {count} states exceeds the cap {cap}; "
-            "reduce the network or raise the cap"
-        )
-    n = aug.model.n
-    # Superset tests on small frozensets are cheaper than on StateSets.
-    kept: list[frozenset[int]] = []
-    anchors: list[StateSet] = []
-    for r in range(1, count + 1):
-        for combo in combinations(members, r):
-            chosen = frozenset(combo)
-            if any(k <= chosen for k in kept):
-                continue
-            guess = StateSet.from_indices(invariant.universe, combo)
-            target = mirror_close(guess | external_target, n)
-            if (invariant - guess).issubset(robust_reach(target, aug).union):
-                kept.append(chosen)
-                anchors.append(guess)
-    return tuple(anchors)
-
-
 def _cyclic_components(
-    invariant: StateSet, aug: AugmentedSystem, external_target: StateSet, cap: int
-) -> list[tuple[list[int], list[int]]] | None:
-    """Cyclic SCCs of the mirror-folded successor graph on ``invariant``.
+    invariant: StateSet, aug: AugmentedSystem, cap: int
+) -> list[tuple[list[int], list[int]]]:
+    """Cyclic SCCs of the successor graph on ``invariant``, each pair folded with its mirror.
 
     Each component is (its 1-based pair indices, the successor bitmask of
-    each of its states over their positions in that list).  Returns None
-    when the cycle view does not decide the anchor search: see
-    :func:`_folded_graph`, or no component has a cycle.  Raises
-    ResourceLimitError as soon as a cyclic component has more than ``cap``
-    states.
+    each of its states over their positions in that list); successors
+    outside the mirror closure are dropped.  Raises ValueError when a member
+    is not a canonical i < j pair, and ResourceLimitError as soon as a
+    cyclic component has more than ``cap`` states.
     """
-    graph = _folded_graph(invariant, aug, external_target)
-    if graph is None:
-        return None
-    states, edges, degree = graph
+    size = 1 << aug.model.n
+    states = np.flatnonzero(invariant.bits)
+    first, second = np.divmod(states, size)
+    if (first >= second).any():
+        raise ValueError("anchor search needs canonical i < j pairs")
+    position = np.full(aug.pair_count, -1, dtype=np.int32)
+    position[states] = position[second * size + first] = np.arange(states.size)
+    # Row v holds member v's successors as member positions, -1 outside the closure.
+    heads = position[aug.successors[:, states]].T
+    edges, degree = array("i", heads.tobytes()), heads.shape[1]
 
     def successors(v: int) -> array:
         return edges[v * degree : (v + 1) * degree]
@@ -217,39 +184,7 @@ def _cyclic_components(
         local = {v: k for k, v in enumerate(comp)}
         masks = [reduce(or_, (1 << local[w] for w in successors(v) if w in local), 0) for v in comp]
         components.append(([int(states[v]) + 1 for v in comp], masks))
-    return components or None
-
-
-def _folded_graph(
-    invariant: StateSet, aug: AugmentedSystem, external_target: StateSet
-) -> tuple[np.ndarray, array, int] | None:
-    """The successor graph on ``invariant`` with each pair identified with its mirror.
-
-    Returns (the 0-based members, the edge table, the degree): the
-    successors of member v are ``edges[v*degree:(v+1)*degree]``, as member
-    positions, with -1 for a successor outside the mirror closure.  Returns
-    None when a member is not a canonical i < j pair, the mirror closure
-    meets the mirror-closed target, or an exit of the closure neither lies
-    in that target nor robustly reaches it.
-    """
-    size = 1 << aug.model.n
-    states = np.flatnonzero(invariant.bits)
-    first, second = np.divmod(states, size)
-    if not (first < second).all():
-        return None
-    position = np.full(aug.pair_count, -1, dtype=np.int32)
-    position[states] = position[second * size + first] = np.arange(states.size)
-    target = mirror_close(external_target, aug.model.n)
-    if target.bits[position >= 0].any():
-        return None
-    succ = aug.successors[:, states]
-    heads = position[succ]
-    exits = succ[heads < 0]
-    if exits.size:
-        settled = target.bits | robust_reach(target, aug).union.bits
-        if not settled[exits].all():
-            return None
-    return states, array("i", heads.T.tobytes()), succ.shape[0]
+    return components
 
 
 def _strongly_connected(edges: array, degree: int):
@@ -389,13 +324,11 @@ def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> An
         residual = indist - (core | core_reach)
         if residual:
             invariant = canonicalize(maximum_invariant_set(mirror_close(residual, n), aug), n)
-            anchors = minimal_anchor_sets(invariant, aug, core_target, cap=subset_cap)
+            anchors = minimal_anchor_sets(invariant, aug, cap=subset_cap)
             widened = robust_reach(mirror_close(core_target | invariant, n), aug).union
             second_residual = residual - (invariant | widened)
             if second_residual:
-                second_anchors = minimal_anchor_sets(
-                    second_residual, aug, core_target | invariant | widened, cap=subset_cap
-                )
+                second_anchors = minimal_anchor_sets(second_residual, aug, cap=subset_cap)
         anchor_choices = anchors or (empty,)
         second_choices = second_anchors or (empty,)
         check_size(len(anchor_choices) * len(second_choices), universe, "candidate sets")

@@ -35,16 +35,29 @@ class StochasticMatrix:
     def __init__(self, rows, cols, indptr, rowidx, values):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_indptr", indptr)
-        object.__setattr__(self, "_rowidx", rowidx)
-        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_indptr", np.asarray(indptr))
+        object.__setattr__(self, "_rowidx", np.asarray(rowidx))
+        object.__setattr__(self, "_values", np.asarray(values))
         self._validate()
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("StochasticMatrix is immutable")
 
     def _validate(self) -> None:
-        sums = np.bincount(self._entry_cols(), weights=self._values, minlength=self.cols)
+        indptr, rowidx, size = self._indptr, self._rowidx, self._values.size
+        if indptr.shape != (self.cols + 1,) or not np.issubdtype(indptr.dtype, np.integer):
+            raise ValueError(f"indptr must hold {self.cols + 1} integers")
+        if indptr[0] != 0 or (np.diff(indptr) < 0).any() or indptr[-1] != size:
+            raise ValueError(f"indptr must start at 0, never decrease and end at {size}")
+        flat = rowidx.shape == self._values.shape == (size,)
+        if not flat or not np.issubdtype(rowidx.dtype, np.integer):
+            raise ValueError("rowidx and values must be flat, with one integer row index per value")
+        if size and not (rowidx.min() >= 1 and rowidx.max() <= self.rows):
+            raise ValueError(f"row indices must lie in [1, {self.rows}]")
+        cols = self._entry_cols()
+        if not ((np.diff(cols) > 0) | (np.diff(rowidx) > 0)).all():
+            raise ValueError("row indices must ascend strictly within each column")
+        sums = np.bincount(cols, weights=self._values, minlength=self.cols)
         bad = np.flatnonzero(~(np.abs(sums - 1.0) <= COLUMN_SUM_TOL))
         if bad.size:
             raise ValueError(f"column {bad[0] + 1} sums to {float(sums[bad[0]])!r}, expected 1")

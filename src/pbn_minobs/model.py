@@ -528,9 +528,15 @@ def _finish_block(
     block: _Block, size: int, n: int, count: int, is_output: bool, label: str
 ) -> LogicalMatrix:
     if block.literal is not None:
-        rows = (1 << count) if is_output else size
         lit = block.literal
-        if lit.rows != rows or lit.cols != size:
+        if is_output:
+            # count >= lit.rows.bit_length() already means 2^count > lit.rows,
+            # so a huge outputs: value never forms 2^count.
+            rows_ok = count < lit.rows.bit_length() and lit.rows == 1 << count
+            rows = f"2^{count}"
+        else:
+            rows_ok, rows = lit.rows == size, size
+        if not rows_ok or lit.cols != size:
             raise ModelFormatError(
                 f"matrix literal is {lit.rows}x{lit.cols}, expected {rows}x{size}",
                 line=block.line,
@@ -538,16 +544,17 @@ def _finish_block(
         return lit
     expected = count if is_output else n
     name = "y" if is_output else "x"
-    extra = sorted(set(block.rules) - set(range(1, expected + 1)))
+    extra = sorted(t for t in block.rules if not 1 <= t <= expected)
     if extra:
         raise ModelFormatError(
             f"rule target {name}{extra[0]} out of range [1, {expected}]",
             line=block.rule_lines[extra[0]],
         )
-    missing = [i for i in range(1, expected + 1) if i not in block.rules]
-    if missing:
+    # Every target is in range, so the first gap lies at or below len + 1.
+    missing = next(i for i in range(1, len(block.rules) + 2) if i not in block.rules)
+    if missing <= expected:
         raise ModelFormatError(
-            f"{label} is missing a rule for {name}{missing[0]}", line=block.line
+            f"{label} is missing a rule for {name}{missing}", line=block.line
         )
     per_node = [structure_matrix(block.rules[i], n) for i in range(1, expected + 1)]
     return assemble_network(per_node)

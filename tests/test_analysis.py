@@ -1,10 +1,12 @@
 from array import array
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from pbn_minobs import analysis
 from pbn_minobs import (
+    AugmentedSystem,
     LogicalMatrix,
     PbnModel,
     ResourceLimitError,
@@ -109,10 +111,10 @@ def test_invariant_set_is_contained_and_idempotent():
 def test_anchor_sets_trivial_cases(apoptosis):
     aug = build_augmented(apoptosis)
     empty = StateSet.empty(64)
-    assert minimal_anchor_sets(empty, aug, empty) == ()
+    assert minimal_anchor_sets(empty, aug) == ()
     # 4 = (1,4) is fixed by the fourth subnetwork; alone it anchors itself.
     self_loop = StateSet.from_indices(64, [4])
-    assert minimal_anchor_sets(self_loop, aug, empty) == (self_loop,)
+    assert minimal_anchor_sets(self_loop, aug) == (self_loop,)
 
 
 def test_anchor_sets_two_state_cycle():
@@ -126,7 +128,7 @@ def test_anchor_sets_two_state_cycle():
     z1 = pair_index(1, 2, 2)
     z2 = pair_index(3, 4, 2)
     invariant = StateSet.from_indices(16, [z1, z2])
-    anchors = minimal_anchor_sets(invariant, aug, StateSet.empty(16))
+    anchors = minimal_anchor_sets(invariant, aug)
     assert anchors == (
         StateSet.from_indices(16, [z1]),
         StateSet.from_indices(16, [z2]),
@@ -134,25 +136,28 @@ def test_anchor_sets_two_state_cycle():
 
 
 def test_anchor_sets_cap():
-    rng = np.random.default_rng(53)
-    model = random_model(rng, n=3)
+    # Under a cyclic shift with a blind output, the s1 pairs {i, i + d} with
+    # d != 8 fold into cycles of 16 states, one for each d.
+    shift = LogicalMatrix(16, list(range(2, 17)) + [1])
+    model = PbnModel(
+        n=4, q=1, transitions=(shift,), output=LogicalMatrix(2, [1] * 16), probs=(1.0,)
+    )
     aug = build_augmented(model)
-    big = StateSet.from_indices(64, range(1, 30))
-    with pytest.raises(ResourceLimitError):
-        minimal_anchor_sets(big, aug, StateSet.empty(64), cap=8)
+    big = partition_states(model).s1
+    with pytest.raises(ResourceLimitError, match="component of 16 residual states"):
+        minimal_anchor_sets(big, aug, cap=8)
 
 
-def test_anchor_sets_fall_back_on_non_canonical_sets():
-    # Diagonal and mirrored pairs leave the cycle view undecided; the
-    # exhaustive search answers within a cap that covers the whole set.
+def test_anchor_sets_reject_non_canonical_sets():
+    # Diagonal and mirrored pairs break the search's precondition.
     rng = np.random.default_rng(53)
     model = random_model(rng, n=2)
     aug = build_augmented(model)
     mixed = StateSet.from_indices(16, range(1, 9))
-    empty = StateSet.empty(16)
-    assert analysis._cyclic_components(mixed, aug, empty, cap=8) is None
-    anchors = minimal_anchor_sets(mixed, aug, empty, cap=8)
-    assert anchors and anchors == analysis._exhaustive_anchor_sets(mixed, aug, empty, cap=8)
+    with pytest.raises(ValueError, match="canonical i < j pairs"):
+        minimal_anchor_sets(mixed, aug, cap=8)
+    with pytest.raises(ValueError, match="universe mismatch"):
+        minimal_anchor_sets(StateSet.from_indices(64, [2]), aug, cap=8)
 
 
 def test_strongly_connected_matches_mutual_reachability():
@@ -173,34 +178,70 @@ def test_strongly_connected_matches_mutual_reachability():
         assert len(found) == len(expected) and set(found) == expected
 
 
-def test_anchor_sets_match_exhaustive_search(monkeypatch):
-    # Every anchor search the pipeline makes on random models, rerun by the
-    # exhaustive reference wherever that decides within its cap.
-    searches = []
-    fast = analysis.minimal_anchor_sets
+def exhaustive_anchor_sets(
+    invariant: StateSet,
+    aug: AugmentedSystem,
+    external_target: StateSet,
+    cap: int,
+) -> tuple[StateSet, ...]:
+    """Reference search: one robust reach per subset, in ascending cardinality.
 
-    def recording(invariant, aug, external_target, cap):
-        searches.append((invariant, aug, external_target))
-        return fast(invariant, aug, external_target, cap=cap)
+    A subset G qualifies when every other member robustly reaches the
+    mirror-closed union of G and ``external_target``.  Enumeration runs in
+    ascending cardinality (then lexicographic), so supersets of kept sets
+    are skipped and the result is an antichain.
+    """
+    members = invariant.indices()
+    count = len(members)
+    if count == 0:
+        return ()
+    if count > cap:
+        raise ResourceLimitError(
+            f"subset enumeration over {count} states exceeds the cap {cap}; "
+            "reduce the network or raise the cap"
+        )
+    n = aug.model.n
+    # Superset tests on small frozensets are cheaper than on StateSets.
+    kept: list[frozenset[int]] = []
+    anchors: list[StateSet] = []
+    for r in range(1, count + 1):
+        for combo in combinations(members, r):
+            chosen = frozenset(combo)
+            if any(k <= chosen for k in kept):
+                continue
+            guess = StateSet.from_indices(invariant.universe, combo)
+            target = mirror_close(guess | external_target, n)
+            if (invariant - guess).issubset(robust_reach(target, aug).union):
+                kept.append(chosen)
+                anchors.append(guess)
+    return tuple(anchors)
 
-    monkeypatch.setattr(analysis, "minimal_anchor_sets", recording)
+
+def test_anchor_sets_match_exhaustive_search():
+    # Both anchor searches of every decided report on random models, rerun
+    # by the exhaustive reference wherever that decides within its cap.
     rng = np.random.default_rng(57)
+    decided = 0
     for _ in range(300):
         model = random_model(rng, n=int(rng.integers(2, 6)))
         try:
-            minimal_targets(model, subset_cap=14)
-        except ResourceLimitError:
-            pass
-    decided = 0
-    for invariant, aug, external in searches:
-        try:
-            expected = analysis._exhaustive_anchor_sets(invariant, aug, external, cap=12)
+            report = minimal_targets(model, subset_cap=14)
         except ResourceLimitError:
             continue
-        if invariant:
-            assert analysis._cyclic_components(invariant, aug, external, cap=14) is not None
-        assert fast(invariant, aug, external, cap=14) == expected
-        decided += bool(invariant)
+        aug = build_augmented(model)
+        first = report.core_target | report.invariant_set
+        widened = robust_reach(mirror_close(first, model.n), aug).union
+        searches = (
+            (report.invariant_set, report.core_target, report.invariant_anchors),
+            (report.second_residual, first | widened, report.second_anchors),
+        )
+        for invariant, external, anchors in searches:
+            try:
+                expected = exhaustive_anchor_sets(invariant, aug, external, cap=12)
+            except ResourceLimitError:
+                continue
+            assert anchors == expected
+            decided += bool(invariant)
     assert decided >= 50
 
 
@@ -216,7 +257,7 @@ def test_anchor_and_candidate_sets_checked_against_dimension_cap(monkeypatch):
         minimal_targets(model)
     monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "100")
     with pytest.raises(ResourceLimitError, match="anchor sets of size 2x64"):
-        minimal_anchor_sets(report.invariant_set, aug, report.core_target)
+        minimal_anchor_sets(report.invariant_set, aug)
 
 
 def test_pipeline_on_bundled_model(apoptosis):

@@ -272,6 +272,25 @@ def test_weighted_maps_reject_bad_input():
                          values=np.array([1.5, -0.5]))
 
 
+@pytest.mark.parametrize(
+    "rows, cols, indptr, rowidx, values, message",
+    [
+        (2, 2, [0, 1], [1], [1.0], "indptr must hold 3 integers"),
+        (2, 2, [1, 1, 2], [1], [1.0], "indptr must start at 0"),
+        (2, 2, [0, 2, 1], [1], [1.0], "never decrease"),
+        (2, 2, [0, 1, 1], [1, 2], [1.0, 1.0], "end at 2"),
+        (2, 1, [0, 1], [1, 2], [1.0], "one integer row index per value"),
+        (2, 1, [0, 1], [5], [1.0], r"row indices must lie in \[1, 2\]"),
+        (2, 1, [0, 1], [0], [1.0], r"row indices must lie in \[1, 2\]"),
+        (2, 1, [0, 2], [2, 1], [0.5, 0.5], "ascend strictly"),
+        (2, 1, [0, 2], [2, 2], [0.5, 0.5], "ascend strictly"),
+    ],
+)
+def test_stochastic_matrix_rejects_bad_index_arrays(rows, cols, indptr, rowidx, values, message):
+    with pytest.raises(ValueError, match=message):
+        StochasticMatrix(rows, cols, indptr=indptr, rowidx=rowidx, values=values)
+
+
 def test_dense_expectation_checked_against_dimension_cap(apoptosis, monkeypatch):
     monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "1000")
     q = build_augmented(apoptosis).q_matrix

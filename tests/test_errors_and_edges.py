@@ -48,6 +48,13 @@ BASE = "states: 1\noutputs: 1\nsubnetworks: 1\np: 1.0\n[net 1]\nx1' = x1\n[outpu
         ("junk\n" + BASE, "expected a header line"),
         (BASE + "[net 3]\nx1' = x1\n", "out of range: subnetworks is 1"),
         (BASE.replace("[net 1]\nx1' = x1\n", "[net 1]\n"), "missing a rule for x1"),
+        (BASE.replace("outputs: 1", "outputs: 100000000000000000000"), "missing a rule for y2"),
+        (
+            BASE.replace("outputs: 1", "outputs: 100000000000000000000").replace(
+                "y1 = x1", "H = delta2[1 2]"
+            ),
+            "line 7: matrix literal is 2x2, expected 2^100000000000000000000x2",
+        ),
         (
             BASE.replace("subnetworks: 1\np: 1.0", "subnetworks: 2\np: nan 1.0")
             + "[net 2]\nx1' = !x1\n",

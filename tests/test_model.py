@@ -1,9 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbn_minobs import (
     LogicalMatrix,
     ModelFormatError,
+    PbnModel,
+    ResourceLimitError,
     assemble_network,
     decode_state,
     encode_state,
@@ -18,6 +23,7 @@ from conftest import (
     APOPTOSIS_H,
     APOPTOSIS_L,
     APOPTOSIS_P,
+    MODEL_PATH,
     random_expr,
     random_model,
 )
@@ -192,3 +198,46 @@ def test_render_round_trip(apoptosis):
     for _ in range(25):
         model = random_model(rng)
         assert parse_model(render_model(model)) == model
+
+
+# The bundled file without its comment lines, as numbers, words, runs of
+# blanks and single characters.
+MODEL_TOKENS = re.findall(
+    r"\d+|[A-Za-z_]+|\s+|.",
+    re.sub(r"(?m)^#.*\n", "", MODEL_PATH.read_text(encoding="utf-8")),
+)
+# The header sizes, which drive every allocation the parser makes.
+SIZE_POSITIONS = [
+    k
+    for k, token in enumerate(MODEL_TOKENS)
+    if token.isdigit() and MODEL_TOKENS[k - 3] in ("states", "outputs", "subnetworks")
+]
+
+
+@st.composite
+def mutated_model_text(draw) -> str:
+    """The bundled file with one to three mutations.
+
+    A header size may become any nonnegative integer; any token may become
+    another token of the file or up to three arbitrary characters.
+    """
+    tokens = list(MODEL_TOKENS)
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            position = draw(st.sampled_from(SIZE_POSITIONS))
+            tokens[position] = str(draw(st.integers(min_value=0)))
+        else:
+            position = draw(st.integers(0, len(tokens) - 1))
+            tokens[position] = draw(
+                st.one_of(st.sampled_from(sorted(set(MODEL_TOKENS))), st.text(max_size=3))
+            )
+    return "".join(tokens)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(mutated_model_text())
+def test_mutated_model_text_parses_or_is_refused(text):
+    try:
+        assert isinstance(parse_model(text), PbnModel)
+    except (ModelFormatError, ResourceLimitError):
+        pass

@@ -245,8 +245,8 @@ def test_extension_closes_the_loop_on_random_models():
 
 
 def test_min_size_matches_direct_measurement_search():
-    # Independent of the candidates: the smallest measurement set V whose
-    # extended output makes the model observable.
+    # Independent of the candidates: the smallest measurement sets V whose
+    # extended output makes the model observable, all of them.
     rng = np.random.default_rng(66)
     checked = 0
     for _ in range(400):
@@ -265,5 +265,9 @@ def test_min_size_matches_direct_measurement_search():
             if any(is_observable(extend_output(model, v))[0] for v in combinations(variables, r))
         )
         assert plan.min_size == direct
+        answers = {
+            v for v in combinations(variables, direct) if is_observable(extend_output(model, v))[0]
+        }
+        assert {cover for _, cover in plan.optima} == answers
         checked += 1
     assert checked >= 100
