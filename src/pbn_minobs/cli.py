@@ -11,7 +11,6 @@ import json
 import sys
 import time
 from functools import cache
-from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -38,15 +37,9 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_RESOURCE = 4
 
-JSON_BLOCK_CHUNKS = 1024
-
-
-def _pairs_json(states: StateSet, n: int) -> list[dict]:
-    return [{"index": z, "pair": [i, j]} for z, i, j in folded_pairs(states, n)]
-
-
-def _set_list_json(sets, n: int) -> list[list[dict]]:
-    return [_pairs_json(s, n) for s in sets]
+# One pair-listing entry as ``json.dumps(..., indent=2)`` lays it out at depth
+# 0, with ``str.format`` fields for the index and the pair.
+PAIR_ENTRY = '{{\n  "index": {},\n  "pair": [\n    {},\n    {}\n  ]\n}}'
 
 
 def build_report(
@@ -57,7 +50,7 @@ def build_report(
     timing: dict[str, float],
     subset_cap: int,
 ) -> dict:
-    n = model.n
+    """The report as ``write_json`` reads it: a ``StateSet`` stands for its pair listing."""
     doc = {
         "model": {
             "path": path,
@@ -71,24 +64,24 @@ def build_report(
             "max_subset": subset_cap,
         },
         "partition": {
-            "s0": _pairs_json(analysis.partition.s0, n),
-            "s1": _pairs_json(analysis.partition.s1, n),
-            "s2": _pairs_json(analysis.partition.s2, n),
+            "s0": analysis.partition.s0,
+            "s1": analysis.partition.s1,
+            "s2": analysis.partition.s2,
         },
         "analysis": {
             "observable": analysis.observable,
-            "witness": _pairs_json(analysis.witness, n),
-            "already_distinguishable": _pairs_json(analysis.distinguishable, n),
-            "indistinguishable": _pairs_json(analysis.indistinguishable, n),
-            "one_step_diagonal": _pairs_json(analysis.one_step_diagonal, n),
-            "fixed_points": _pairs_json(analysis.fixed_points, n),
-            "core": _pairs_json(analysis.core, n),
-            "residual": _pairs_json(analysis.residual, n),
-            "invariant_set": _pairs_json(analysis.invariant_set, n),
-            "invariant_anchors": _set_list_json(analysis.invariant_anchors, n),
-            "second_residual": _pairs_json(analysis.second_residual, n),
-            "second_anchors": _set_list_json(analysis.second_anchors, n),
-            "candidates": _set_list_json(analysis.candidates, n),
+            "witness": analysis.witness,
+            "already_distinguishable": analysis.distinguishable,
+            "indistinguishable": analysis.indistinguishable,
+            "one_step_diagonal": analysis.one_step_diagonal,
+            "fixed_points": analysis.fixed_points,
+            "core": analysis.core,
+            "residual": analysis.residual,
+            "invariant_set": analysis.invariant_set,
+            "invariant_anchors": analysis.invariant_anchors,
+            "second_residual": analysis.second_residual,
+            "second_anchors": analysis.second_anchors,
+            "candidates": analysis.candidates,
         },
         "sensors": None,
         "timing": timing,
@@ -98,7 +91,7 @@ def build_report(
             "min_size": plan.min_size,
             "per_candidate": [
                 {
-                    "target": _pairs_json(c.target, n),
+                    "target": c.target,
                     "covers": [list(cover) for cover in c.covers],
                     "size": c.size,
                     "infeasible_reason": c.infeasible_reason,
@@ -119,22 +112,48 @@ def build_report(
 
 
 def write_json(doc, stream) -> None:
-    """Write ``json.dumps(doc, indent=2)`` and a newline to ``stream``, in blocks.
+    """Write ``json.dumps(doc, indent=2)`` and a newline to ``stream``.
 
-    With ``indent`` set the encoder is pure Python and yields one small str
-    per token.  Joining them all at once holds several times the text's
-    size; blocks of ``JSON_BLOCK_CHUNKS`` chunks (about 10 KB of text) keep
-    every transient string small.
+    ``doc`` holds dicts with str keys, lists, tuples, JSON scalars and
+    ``StateSet`` values.  Containers are laid out as the stdlib lays them
+    out; keys and scalars go through ``json.dumps``.  A ``StateSet`` stands
+    for the list of its canonical pairs, ``{"index": z, "pair": [i, j]}``
+    each; all entries at one depth share their text around the three
+    numbers, so a listing is formatted from the ``folded_pairs`` arrays
+    through one template.
     """
-    chunks = json.JSONEncoder(indent=2).iterencode(doc)
-    # Every chunk is non-empty, so only the exhausted encoder gives "".
-    while block := "".join(islice(chunks, JSON_BLOCK_CHUNKS)):
-        stream.write(block)
+
+    def emit(value, pad: str) -> None:
+        inner = pad + "  "
+        if isinstance(value, StateSet):
+            # universe = 4^n = 2^(2n)
+            z, i, j = folded_pairs(value, (value.universe.bit_length() - 1) // 2)
+            if not z.size:
+                stream.write("[]")
+                return
+            template = inner + PAIR_ENTRY.replace("\n", "\n" + inner)
+            body = ",\n".join(map(template.format, z.tolist(), i.tolist(), j.tolist()))
+            stream.write(f"[\n{body}\n{pad}]")
+        elif isinstance(value, dict) and value:
+            for k, (key, item) in enumerate(value.items()):
+                stream.write(f"{',' if k else '{'}\n{inner}{json.dumps(key)}: ")
+                emit(item, inner)
+            stream.write(f"\n{pad}}}")
+        elif isinstance(value, (list, tuple)) and value:
+            for k, item in enumerate(value):
+                stream.write(f"{',' if k else '['}\n{inner}")
+                emit(item, inner)
+            stream.write(f"\n{pad}]")
+        else:
+            stream.write(json.dumps(value))
+
+    emit(doc, "")
     stream.write("\n")
 
 
 def _fmt_pairs(states: StateSet, n: int) -> str:
-    return "{" + ", ".join(f"{z}=({i},{j})" for z, i, j in folded_pairs(states, n)) + "}"
+    z, i, j = folded_pairs(states, n)
+    return "{" + ", ".join(map("{}=({},{})".format, z.tolist(), i.tolist(), j.tolist())) + "}"
 
 
 def _summary_lines(model: PbnModel, analysis: AnalysisReport, plan: SensorPlan | None) -> list[str]:

@@ -187,11 +187,13 @@ def canonicalize(s: StateSet, n: int) -> StateSet:
     return StateSet._own(np.triu(grid | grid.T).reshape(-1))
 
 
-def folded_pairs(s: StateSet, n: int) -> list[tuple[int, int, int]]:
-    """(index, i, j) of every canonical i <= j representative, in index order."""
-    z = np.flatnonzero(canonicalize(s, n).bits)
-    size = 1 << n
-    return list(zip((z + 1).tolist(), (z // size + 1).tolist(), (z % size + 1).tolist()))
+def folded_pairs(s: StateSet, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 arrays (index, i, j) of every canonical i <= j representative, in index order."""
+    grid = _as_square(s, n)
+    z = np.flatnonzero(grid | grid.T)
+    first, second = np.divmod(z, 1 << n)
+    keep = first <= second
+    return z[keep] + 1, first[keep] + 1, second[keep] + 1
 
 
 # ---------------------------------------------------------------------------

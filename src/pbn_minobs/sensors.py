@@ -67,15 +67,15 @@ def truth_matrix(target: StateSet, n: int) -> TruthMatrix:
     The target is folded to canonical representatives and sorted; a diagonal
     pair is rejected because no added measurement can ever separate it.
     """
-    listing = folded_pairs(target, n)
-    if not listing:
+    states, first, second = folded_pairs(target, n)
+    if not states.size:
         raise ValueError("target set is empty")
-    for z, i, j in listing:
-        if i == j:
-            raise ValueError(
-                f"pair state {z} = ({i}, {j}) is diagonal; no measurement can separate it"
-            )
-    states, first, second = np.array(listing, dtype=np.int64).T
+    diagonal = np.flatnonzero(first == second)
+    if diagonal.size:
+        z, i = states[diagonal[0]], first[diagonal[0]]
+        raise ValueError(
+            f"pair state {z} = ({i}, {i}) is diagonal; no measurement can separate it"
+        )
     shifts = n - np.arange(1, n + 1)[:, None]
     grid = ((first - 1) >> shifts) & 1 != ((second - 1) >> shifts) & 1
     return TruthMatrix(n=n, column_states=tuple(states.tolist()), bits=BooleanMatrix(grid))

@@ -42,6 +42,8 @@ def sample_trajectory(model: PbnModel, x0: int, horizon: int, seed: int) -> Traj
         raise ValueError(f"state {x0} out of range [1, {model.state_count}]")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     cumulative = np.cumsum(model.probs)
     states = [x0]
@@ -65,6 +67,8 @@ def estimate_distinguishability(
         raise ValueError("trials must be at least 1")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     out = model.output.col_index
     if x0 == x0_other:
         return 0.0

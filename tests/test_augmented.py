@@ -158,7 +158,7 @@ def test_zero_probability_subnetworks_excluded_from_support(apoptosis):
             assert dead_target not in support
 
 
-def test_storage_switches_between_dense_and_sparse(apoptosis):
+def test_q_matrix_columns_sum_to_one_and_merged_maps_densify(apoptosis):
     aug = build_augmented(apoptosis)
 
     from pbn_minobs import StochasticMatrix
@@ -168,6 +168,7 @@ def test_storage_switches_between_dense_and_sparse(apoptosis):
     )
 
     assert np.allclose(aug.q_matrix.dense().sum(axis=0), 1.0, atol=1e-9)
+    assert dense_like.dense().tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
 
 def test_column_sums_validated():

@@ -1,11 +1,32 @@
 import json
 
+import numpy as np
 import pytest
 
+from pbn_minobs import (
+    ResourceLimitError,
+    StateSet,
+    build_augmented,
+    global_min_sensors,
+    minimal_targets,
+    mirror_close,
+    pair_index,
+    pair_split,
+    partition_states,
+    render_model,
+    robust_reach,
+)
 from pbn_minobs.analysis import DEFAULT_SUBSET_CAP
-from pbn_minobs.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, main
+from pbn_minobs.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_VALIDATION,
+    build_report,
+    main,
+)
 
-from conftest import CORE_EXPECTED, MODEL_PATH, S1_EXPECTED
+from conftest import CORE_EXPECTED, MODEL_PATH, S1_EXPECTED, random_model
 
 
 def run(capsys, *argv):
@@ -144,6 +165,16 @@ def test_simulate_reproducible(capsys):
     assert "estimated separation probability" in out1
 
 
+def test_simulate_negative_seed_is_rejected_for_every_pair(capsys):
+    # Outputs of states 1 and 2 differ, so no generator is ever drawn for
+    # that pair; states 2 and 3 share their output and need one.
+    for pair in ("1,2", "2,3"):
+        code, out, err = run(capsys, "simulate", MODEL_PATH, "--pair", pair, "--seed", "-1")
+        assert code == EXIT_VALIDATION
+        assert not out
+        assert "seed must be nonnegative, got -1" in err
+
+
 def test_simulate_malformed_pair(capsys):
     code, _, err = run(capsys, "simulate", MODEL_PATH, "--pair", "1;4")
     assert code == EXIT_VALIDATION
@@ -185,7 +216,7 @@ def test_negative_max_subset_is_rejected(tmp_path, capsys):
         assert "subset cap must be nonnegative, got -1" in err
 
 
-def test_report_written_in_blocks_matches_json_dumps(capsys, monkeypatch, tmp_path):
+def test_report_writer_matches_json_dumps(capsys, tmp_path):
     import io
 
     import pbn_minobs.cli as cli_mod
@@ -194,9 +225,6 @@ def test_report_written_in_blocks_matches_json_dumps(capsys, monkeypatch, tmp_pa
     assert code == EXIT_OK
     doc = json.loads(out)
     assert out == json.dumps(doc, indent=2) + "\n"
-    monkeypatch.setattr(cli_mod, "JSON_BLOCK_CHUNKS", 100)
-    chunks = list(json.JSONEncoder(indent=2).iterencode(doc))
-    assert len(chunks) > 10 * cli_mod.JSON_BLOCK_CHUNKS
     stream = io.StringIO()
     cli_mod.write_json(doc, stream)
     assert stream.getvalue() == json.dumps(doc, indent=2) + "\n"
@@ -249,3 +277,88 @@ def test_only_dot_builds_the_expectation_matrix(capsys, monkeypatch, tmp_path):
     assert code == EXIT_OK
     with pytest.raises(AssertionError, match="expectation matrix built"):
         main(["analyze", str(MODEL_PATH), "--quiet", "--dot", str(tmp_path / "s1.dot")])
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the report writer and the pair listings against the
+# stdlib encoder over one dict per pair, and plain f-strings
+# ---------------------------------------------------------------------------
+
+def _reference_listing(states, n):
+    """(index, i, j) of every i <= j pair of ``states`` or its mirror image."""
+    folded = set()
+    for k in states.indices():
+        i, j = pair_split(k, n)
+        folded.add(pair_index(min(i, j), max(i, j), n))
+    return [(k, *pair_split(k, n)) for k in sorted(folded)]
+
+
+def _reference_doc(value, n):
+    """The report with each StateSet spelled out as one {"index", "pair"} dict per pair."""
+    if isinstance(value, StateSet):
+        return [{"index": z, "pair": [i, j]} for z, i, j in _reference_listing(value, n)]
+    if isinstance(value, dict):
+        return {key: _reference_doc(item, n) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_doc(item, n) for item in value]
+    return value
+
+
+def _reference_fmt(states, n):
+    return "{" + ", ".join(f"{z}=({i},{j})" for z, i, j in _reference_listing(states, n)) + "}"
+
+
+def _check_analyze(capsys, path, model):
+    """Run ``analyze --sensors --max-subset 14`` and compare it with the references."""
+    code, out, err = run(capsys, "analyze", path, "--sensors", "--max-subset", "14")
+    n = model.n
+    try:
+        analysis = minimal_targets(model, subset_cap=14)
+    except ResourceLimitError as exc:
+        assert (code, out, err) == (EXIT_RESOURCE, "", f"resource limit: {exc}\n")
+        return "refused"
+    plan = None if analysis.observable else global_min_sensors(analysis, model)
+    doc = build_report(str(path), model, analysis, plan, json.loads(out)["timing"], 14)
+    assert code == EXIT_OK
+    assert out == json.dumps(_reference_doc(doc, n), indent=2) + "\n"
+    if analysis.observable:
+        return "observable"
+    listed = [
+        f"indistinguishable pairs: {_reference_fmt(analysis.witness, n)}",
+        "must separate directly (diagonal hitters + fixed points): "
+        f"{_reference_fmt(analysis.core, n)}",
+    ] + [f"candidate {pos}: {_reference_fmt(c, n)}" for pos, c in enumerate(analysis.candidates)]
+    assert err.splitlines()[3 : 3 + len(listed)] == listed
+    return "unobservable"
+
+
+def _check_reach(capsys, path, model):
+    n = model.n
+    target = mirror_close(partition_states(model).s2, n)
+    result = robust_reach(target, build_augmented(model))
+    expected = [f"target ({len(target)} states, mirror-closed): {_reference_fmt(target, n)}"]
+    expected += [f"layer {step}: {_reference_fmt(layer, n)}"
+                 for step, layer in enumerate(result.layers, start=1)]
+    expected.append(f"union ({len(result.union)} states in {result.steps} layers): "
+                    f"{_reference_fmt(result.union, n)}")
+    assert run(capsys, "reach", path, "--target", "S2") == (EXIT_OK, "\n".join(expected) + "\n", "")
+
+
+def test_bundled_report_and_listings_match_references(capsys, apoptosis):
+    assert _check_analyze(capsys, MODEL_PATH, apoptosis) == "unobservable"
+    _check_reach(capsys, MODEL_PATH, apoptosis)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_random_reports_and_listings_match_references(capsys, tmp_path, n):
+    rng = np.random.default_rng([2026, n])
+    seen = set()
+    for k in range(45):
+        model = random_model(rng, n=n)
+        path = tmp_path / f"model-{k}.pbn"
+        path.write_text(render_model(model), encoding="utf-8")
+        seen.add(_check_analyze(capsys, path, model))
+        if k % 3 == 0:
+            _check_reach(capsys, path, model)
+    # Random models above n = 4 are seldom observable.
+    assert {"observable", "unobservable"} <= seen if n <= 4 else "unobservable" in seen

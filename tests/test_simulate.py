@@ -147,3 +147,8 @@ def test_invalid_inputs(apoptosis):
         estimate_distinguishability(apoptosis, 1, 2, 5, 0, 0)
     with pytest.raises(ValueError):
         exhaustive_distinguishability(apoptosis, 1, 65, 5)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        sample_trajectory(apoptosis, 1, 5, -1)
+    for pair in ((1, 2), (2, 3), (2, 2)):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            estimate_distinguishability(apoptosis, *pair, 5, 10, -1)
