@@ -54,8 +54,11 @@ class AnalysisReport:
 
     ``candidates`` lists every minimal pair-state set whose separation makes
     the network observable; it is empty exactly when the network already is.
+    ``system`` is the paired system the search ran on, for later stages of
+    the same command to reuse.
     """
 
+    system: AugmentedSystem = field(compare=False, repr=False)
     partition: Partition
     observable: bool
     witness: StateSet
@@ -75,8 +78,8 @@ class AnalysisReport:
     subset_cap: int = field(default=DEFAULT_SUBSET_CAP)
 
 
-def _distinguishable_split(aug: AugmentedSystem, part: Partition) -> tuple[StateSet, StateSet]:
-    """(already-distinguishable, still-indistinguishable) split of s1."""
+def distinguishable_split(aug: AugmentedSystem, part: Partition) -> tuple[StateSet, StateSet]:
+    """(already-distinguishable, still-indistinguishable) split of ``part``'s s1."""
     n = aug.model.n
     covered = robust_reach(mirror_close(part.s2, n), aug).union
     reach_in_s1 = part.s1 & covered
@@ -87,7 +90,7 @@ def is_observable(model: PbnModel) -> tuple[bool, StateSet]:
     """Observability flag plus the indistinguishable pairs as a witness."""
     aug = build_augmented(model)
     part = partition_states(model)
-    _, witness = _distinguishable_split(aug, part)
+    _, witness = distinguishable_split(aug, part)
     return not witness, witness
 
 
@@ -311,7 +314,7 @@ def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> An
     universe = aug.pair_count
     empty = StateSet.empty(universe)
 
-    distinguishable, indist = _distinguishable_split(aug, part)
+    distinguishable, indist = distinguishable_split(aug, part)
     diag_hitters = one_step_to_diagonal(indist, aug)
     fixed = positive_prob_fixed_points(indist, aug)
     core = diag_hitters | fixed
@@ -335,6 +338,7 @@ def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> An
         candidates = tuple(core | a | b for a in anchor_choices for b in second_choices)
 
     return AnalysisReport(
+        system=aug,
         partition=part,
         observable=not indist,
         witness=indist,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .model import PbnModel
-from .stp import LogicalMatrix, check_size, dimension_cap, kron
+from .stp import LogicalMatrix, check_size, dimension_cap
 
 COLUMN_SUM_TOL = 1e-9
 
@@ -136,8 +136,8 @@ class AugmentedSystem:
 
     ``successors[r, z]`` is the 0-based pair index that pair state z (0-based)
     moves to under the r-th positive-probability subnetwork; its rows are the
-    pair maps.  Their expectation (``q_matrix``, read from these rows) and
-    the paired output are built on first access.
+    pair maps.  Their expectation (``q_matrix``, read from these rows) is
+    built on first access.
     """
 
     model: PbnModel
@@ -159,11 +159,6 @@ class AugmentedSystem:
             [LogicalMatrix(self.pair_count, row + 1) for row in self.successors],
             [probs[v] for v in self.active],
         )
-
-    @cached_property
-    def pair_output(self) -> LogicalMatrix:
-        """Kronecker square of the output matrix, built on first access."""
-        return kron(self.model.output, self.model.output)
 
     def pre_all(self, inside: np.ndarray) -> np.ndarray:
         """Pair states whose every positive-probability successor is in ``inside``."""

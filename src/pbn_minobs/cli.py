@@ -182,13 +182,13 @@ def _summary_lines(model: PbnModel, analysis: AnalysisReport, plan: SensorPlan |
     return lines
 
 
-def write_s1_graph(path, model: PbnModel, aug: AugmentedSystem, part: Partition) -> None:
+def write_s1_graph(path, aug: AugmentedSystem, part: Partition) -> None:
     """DOT graph of the indistinguishable pairs and where their mass flows.
 
     Vertices are the canonical s1 pairs; transitions leaving s1 are folded
     into aggregate s0 / s2 sink nodes.  Edge labels carry probabilities.
     """
-    n = model.n
+    n = aug.model.n
     s1 = part.s1
     s0 = part.s0
     s2c = mirror_close(part.s2, n)
@@ -271,8 +271,7 @@ def cmd_analyze(args) -> int:
         "total_s": t3 - t0,
     }
     if args.dot:
-        aug = build_augmented(model)
-        write_s1_graph(args.dot, model, aug, analysis.partition)
+        write_s1_graph(args.dot, analysis.system, analysis.partition)
     report = build_report(args.path, model, analysis, plan, timing, args.max_subset)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as stream:

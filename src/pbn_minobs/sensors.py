@@ -15,10 +15,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .analysis import AnalysisReport, is_observable
+from .analysis import AnalysisReport, distinguishable_split
 from .errors import InfeasibleCoverError
-from .model import PbnModel
-from .partition import StateSet, folded_pairs, pair_split
+from .model import PbnModel, Var, assignment_table, structure_matrix
+from .partition import StateSet, folded_pairs, pair_split, partition_states
 from .stp import BooleanMatrix, LogicalMatrix, khatri_rao
 
 
@@ -26,9 +26,7 @@ def single_variable_output(m_idx: int, n: int) -> LogicalMatrix:
     """Output matrix of the measurement y = x_m: column k reads bit m of state k."""
     if not 1 <= m_idx <= n:
         raise ValueError(f"variable index {m_idx} out of range [1, {n}]")
-    idx = np.arange(1 << n)
-    raw = (idx >> (n - m_idx)) & 1
-    return LogicalMatrix(2, raw + 1)
+    return structure_matrix(Var(m_idx), n)
 
 
 def distinguishable_under(m_idx: int, n: int) -> StateSet:
@@ -36,12 +34,8 @@ def distinguishable_under(m_idx: int, n: int) -> StateSet:
 
     Mirror-closed and diagonal-free by construction.
     """
-    if not 1 <= m_idx <= n:
-        raise ValueError(f"variable index {m_idx} out of range [1, {n}]")
-    idx = np.arange(1 << n)
-    raw = (idx >> (n - m_idx)) & 1
-    differs = raw[:, None] != raw[None, :]
-    return StateSet.from_bool_array(differs.reshape(-1))
+    reading = single_variable_output(m_idx, n).col_index
+    return StateSet.from_bool_array((reading[:, None] != reading[None, :]).reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -76,8 +70,8 @@ def truth_matrix(target: StateSet, n: int) -> TruthMatrix:
         raise ValueError(
             f"pair state {z} = ({i}, {i}) is diagonal; no measurement can separate it"
         )
-    shifts = n - np.arange(1, n + 1)[:, None]
-    grid = ((first - 1) >> shifts) & 1 != ((second - 1) >> shifts) & 1
+    table = assignment_table(n)
+    grid = (table[first - 1] != table[second - 1]).T
     return TruthMatrix(n=n, column_states=tuple(states.tolist()), bits=BooleanMatrix(grid))
 
 
@@ -162,9 +156,14 @@ def extend_output(model: PbnModel, measurements) -> PbnModel:
 
 
 def global_min_sensors(report: AnalysisReport, model: PbnModel) -> SensorPlan:
-    """Minimum measurements over every candidate target set, with re-verification."""
+    """Minimum measurements over every candidate target set, with re-verification.
+
+    ``report`` is ``minimal_targets(model)``; the re-verification reuses its system.
+    """
     if report.observable:
         raise ValueError("model is already observable; nothing to add")
+    if report.system.model != model:
+        raise ValueError("the report was computed for a different model")
     per_candidate: list[CandidateCover] = []
     diagnostics: list[str] = []
     for cand in report.candidates:
@@ -190,13 +189,14 @@ def global_min_sensors(report: AnalysisReport, model: PbnModel) -> SensorPlan:
     )
     suggested = min(optima, key=lambda item: (item[1], item[0]))
     extended = extend_output(model, suggested[1])
-    extended_observable, _ = is_observable(extended)
+    # The added outputs leave the pair dynamics alone, so the report's system serves.
+    _, witness = distinguishable_split(report.system, partition_states(extended))
     return SensorPlan(
         per_candidate=tuple(per_candidate),
         min_size=min_size,
         optima=optima,
         suggested=suggested,
         extended_output=extended.output,
-        extended_observable=extended_observable,
+        extended_observable=not witness,
         diagnostics=tuple(diagnostics),
     )

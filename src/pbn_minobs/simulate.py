@@ -59,7 +59,10 @@ def sample_trajectory(model: PbnModel, x0: int, horizon: int, seed: int) -> Traj
 def estimate_distinguishability(
     model: PbnModel, x0: int, x0_other: int, horizon: int, trials: int, seed: int
 ) -> float:
-    """Fraction of shared-switching runs whose output sequences differ by ``horizon``."""
+    """Fraction of shared-switching runs whose output sequences differ by ``horizon``.
+
+    ``horizon * trials`` must fit the step budget, for every pair alike.
+    """
     for x in (x0, x0_other):
         if not 1 <= x <= model.state_count:
             raise ValueError(f"state {x} out of range [1, {model.state_count}]")
@@ -69,6 +72,11 @@ def estimate_distinguishability(
         raise ValueError("horizon must be nonnegative")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if horizon * trials > DEFAULT_STEP_BUDGET:
+        raise ResourceLimitError(
+            f"simulation needs up to {horizon} x {trials} = {horizon * trials} steps, "
+            f"over the budget {DEFAULT_STEP_BUDGET}; lower the horizon or the trial count"
+        )
     out = model.output.col_index
     if x0 == x0_other:
         return 0.0

@@ -145,13 +145,8 @@ class BooleanMatrix:
 
     def row_masks(self) -> list[int]:
         """Each row as an integer bitmask, bit c set iff entry (row, c+1) is 1."""
-        masks = []
-        for r in range(self.rows):
-            mask = 0
-            for c in np.flatnonzero(self.bits[r]):
-                mask |= 1 << int(c)
-            masks.append(mask)
-        return masks
+        packed = np.packbits(self.bits, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BooleanMatrix):

@@ -192,13 +192,6 @@ def test_pre_image_operators_match_column_support():
             assert pre_any[z - 1] == any(hits)
 
 
-def test_pair_output_is_built_on_first_access(apoptosis):
-    aug = build_augmented(apoptosis)
-    assert "pair_output" not in vars(aug)
-    assert aug.pair_output is aug.pair_output
-    assert aug.pair_output.rows == 4
-
-
 def test_successors_are_the_positive_probability_pair_maps():
     rng = np.random.default_rng(72)
     for _ in range(60):

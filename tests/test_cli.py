@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbn_minobs import (
     ResourceLimitError,
@@ -175,6 +179,26 @@ def test_simulate_negative_seed_is_rejected_for_every_pair(capsys):
         assert "seed must be nonnegative, got -1" in err
 
 
+def test_simulate_over_the_step_budget_exits_4_at_once(capsys, tmp_path):
+    # A blind 2-state cycle: the pair never separates or merges, so without a
+    # budget every trial would run the whole horizon.
+    blind = tmp_path / "blind.pbn"
+    blind.write_text(
+        "states: 1\noutputs: 1\nsubnetworks: 1\np: 1.0\n"
+        "[net 1]\nL = delta2[2 1]\n[output]\nH = delta2[1 1]\n"
+    )
+    # States 1 and 2 of the bundled model differ in output at time zero.
+    for path in (blind, MODEL_PATH):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "simulate", path, "--pair", "1,2", "--T", "1000000", "--trials", "1000"
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_RESOURCE
+        assert not out
+        assert "1000000 x 1000 = 1000000000 steps, over the budget 10000000" in err
+
+
 def test_simulate_malformed_pair(capsys):
     code, _, err = run(capsys, "simulate", MODEL_PATH, "--pair", "1;4")
     assert code == EXIT_VALIDATION
@@ -262,6 +286,26 @@ def test_analyze_does_not_build_the_pair_output_matrix(capsys, monkeypatch):
     assert code == EXIT_OK
     optima = sorted(o["variables"] for o in json.loads(out)["sensors"]["optima"])
     assert optima == [[1, 2], [1, 3]]
+
+
+def test_analyze_with_sensors_and_dot_builds_one_pair_system(capsys, monkeypatch, tmp_path):
+    import pbn_minobs.analysis as analysis_mod
+    import pbn_minobs.cli as cli_mod
+
+    built = []
+
+    def counted(model):
+        built.append(model)
+        return build_augmented(model)
+
+    monkeypatch.setattr(analysis_mod, "build_augmented", counted)
+    monkeypatch.setattr(cli_mod, "build_augmented", counted)
+    dot = tmp_path / "s1.dot"
+    code, _, err = run(capsys, "analyze", MODEL_PATH, "--sensors", "--dot", dot)
+    assert code == EXIT_OK
+    assert "re-verified observable: True" in err
+    assert dot.read_text().startswith("digraph s1_transitions {")
+    assert len(built) == 1
 
 
 def test_only_dot_builds_the_expectation_matrix(capsys, monkeypatch, tmp_path):
@@ -362,3 +406,40 @@ def test_random_reports_and_listings_match_references(capsys, tmp_path, n):
             _check_reach(capsys, path, model)
     # Random models above n = 4 are seldom observable.
     assert {"observable", "unobservable"} <= seen if n <= 4 else "unobservable" in seen
+
+
+CLI_INTEGERS = st.one_of(st.integers(-2, 70), st.sampled_from([2**63, 10**30]))
+CLI_TEXT = st.text(alphabet="0123456789,- Ss", max_size=6)
+
+
+@st.composite
+def cli_argv(draw):
+    """Any subcommand on the bundled model (or a missing file), with drawn options."""
+    command = draw(st.sampled_from(["validate", "analyze", "reach", "simulate"]))
+    path = str(MODEL_PATH) if draw(st.integers(0, 9)) else "no-such-file.pbn"
+    argv = [command, path]
+    if command == "analyze":
+        argv += ["--quiet", "--max-subset", str(draw(CLI_INTEGERS))]
+        if draw(st.booleans()):
+            argv.append("--sensors")
+    elif command == "reach":
+        argv += ["--target", draw(st.one_of(st.sampled_from(["S0", "s1", "S2"]), CLI_TEXT))]
+    elif command == "simulate":
+        state = st.one_of(st.integers(1, 8), CLI_INTEGERS)
+        pair = draw(st.one_of(st.tuples(state, state).map("{0[0]},{0[1]}".format), CLI_TEXT))
+        argv += ["--pair", pair]
+        for option in ("--T", "--trials", "--seed"):
+            argv += [option, str(draw(CLI_INTEGERS))]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(cli_argv())
+def test_every_cli_outcome_is_a_documented_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == EXIT_VALIDATION, argv
+            return
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_INFEASIBLE, EXIT_RESOURCE), argv

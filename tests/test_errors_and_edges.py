@@ -24,6 +24,8 @@ from pbn_minobs import (
 from pbn_minobs.model import Var
 from pbn_minobs.stp import dimension_cap
 
+from conftest import MODEL_PATH
+
 BASE = "states: 1\noutputs: 1\nsubnetworks: 1\np: 1.0\n[net 1]\nx1' = x1\n[output]\ny1 = x1\n"
 
 
@@ -161,6 +163,20 @@ def test_infeasible_candidate_is_skipped_with_diagnostic(apoptosis, monkeypatch)
     assert plan.per_candidate[1].size == 2
     assert plan.diagnostics
     assert plan.min_size == 2
+
+
+def test_sensor_search_needs_the_reports_own_model(apoptosis):
+    report = minimal_targets(apoptosis)
+    other = PbnModel(
+        n=apoptosis.n,
+        q=apoptosis.q,
+        transitions=apoptosis.transitions,
+        output=apoptosis.output,
+        probs=(0.25, 0.25, 0.25, 0.25),
+    )
+    assert global_min_sensors(report, parse_model(MODEL_PATH.read_text())).min_size == 2
+    with pytest.raises(ValueError, match="different model"):
+        global_min_sensors(report, other)
 
 
 def test_all_candidates_infeasible_raises(apoptosis, monkeypatch):

@@ -3,9 +3,9 @@ import pytest
 
 from pbn_minobs import (
     StateSet,
-    build_augmented,
     canonicalize,
     diagonal_set,
+    kron,
     mirror_close,
     mirror_index,
     pair_index,
@@ -78,8 +78,7 @@ def test_pair_output_matrix_splits_like_partition():
     for _ in range(25):
         model = random_model(rng)
         part = partition_states(model)
-        aug = build_augmented(model)
-        k = aug.pair_output
+        k = kron(model.output, model.output)
         out_size = 1 << model.q
         n = model.n
         for z in mirror_close(part.s2, n).indices():

@@ -14,6 +14,7 @@ from pbn_minobs import (
     robust_reach,
     sample_trajectory,
 )
+from pbn_minobs.simulate import DEFAULT_STEP_BUDGET
 
 from conftest import random_model
 
@@ -152,3 +153,17 @@ def test_invalid_inputs(apoptosis):
     for pair in ((1, 2), (2, 3), (2, 2)):
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             estimate_distinguishability(apoptosis, *pair, 5, 10, -1)
+
+
+def test_estimate_step_budget_refuses_every_pair_alike(apoptosis):
+    # Pairs (3,3) and (1,2) return at once and (2,3) runs trials; each is
+    # refused before any of that once horizon * trials passes the budget.
+    trials = 1000
+    horizon = DEFAULT_STEP_BUDGET // trials
+    assert estimate_distinguishability(apoptosis, 3, 3, horizon, trials, 0) == 0.0
+    assert estimate_distinguishability(apoptosis, 1, 2, horizon, trials, 0) == 1.0
+    for pair in ((3, 3), (1, 2), (2, 3)):
+        with pytest.raises(ResourceLimitError, match=f"{horizon + 1} x {trials}.*budget"):
+            estimate_distinguishability(apoptosis, *pair, horizon + 1, trials, 0)
+        with pytest.raises(ResourceLimitError, match=str(2**63)):
+            estimate_distinguishability(apoptosis, *pair, 1, 2**63, 0)
