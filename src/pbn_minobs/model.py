@@ -431,7 +431,7 @@ def parse_model(text: str) -> PbnModel:
         n = header.get("states")
         if n is None:
             if header:
-                raise ModelFormatError("missing header key 'states'")
+                raise ModelFormatError("missing header key 'states'", line=current.line)
             raise ModelFormatError("'states:' must appear before any section", line=line_no)
 
         lit = _LITERAL_RE.match(stripped)
@@ -484,8 +484,9 @@ def parse_model(text: str) -> PbnModel:
     q = int(header["outputs"])
     m_count = int(header["subnetworks"])
     probs = header["p"]
-    if n <= 0 or q <= 0 or m_count <= 0:
-        raise ModelFormatError("states, outputs and subnetworks must be positive")
+    for key, value in (("states", n), ("outputs", q), ("subnetworks", m_count)):
+        if value <= 0:
+            raise ModelFormatError(f"{key} must be positive, got {value}", line=header_lines[key])
     if len(probs) != m_count:
         raise ModelFormatError(
             f"p has {len(probs)} entries but subnetworks is {m_count}",

@@ -37,13 +37,21 @@ def _draw_switch(model: PbnModel, cumulative: np.ndarray, rng: np.random.Generat
 
 
 def sample_trajectory(model: PbnModel, x0: int, horizon: int, seed: int) -> Trajectory:
-    """Run the network ``horizon`` steps from state ``x0``; switches are i.i.d."""
+    """Run the network ``horizon`` steps from state ``x0``; switches are i.i.d.
+
+    ``horizon`` must fit the step budget.
+    """
     if not 1 <= x0 <= model.state_count:
         raise ValueError(f"state {x0} out of range [1, {model.state_count}]")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if horizon > DEFAULT_STEP_BUDGET:
+        raise ResourceLimitError(
+            f"trajectory needs {horizon} steps, over the budget {DEFAULT_STEP_BUDGET}; "
+            "lower the horizon"
+        )
     rng = np.random.default_rng(seed)
     cumulative = np.cumsum(model.probs)
     states = [x0]

@@ -351,7 +351,7 @@ def test_invariant_set_matches_plain_greatest_fixpoint():
         current = {int(z) for z in raw}
         constraint = StateSet.from_indices(pairs, current)
         while True:
-            kept = {z for z in current if set(aug.column_support(z)) <= current}
+            kept = {z for z in current if set(aug.q_matrix.column_support(z)) <= current}
             if kept == current:
                 break
             current = kept

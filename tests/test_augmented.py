@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ def test_pre_image_operators_match_column_support():
         pre_all = aug.pre_all(inside)
         pre_any = aug.pre_any(inside)
         for z in range(1, aug.pair_count + 1):
-            hits = [bool(inside[w - 1]) for w in aug.column_support(z)]
+            hits = [bool(inside[w - 1]) for w in aug.q_matrix.column_support(z)]
             assert pre_all[z - 1] == all(hits)
             assert pre_any[z - 1] == any(hits)
 
@@ -249,6 +250,16 @@ def test_weighted_maps_match_per_column_reference():
                 for r, value in acc.items():
                     ref_dense[r - 1, j - 1] = value
             assert np.array_equal(q.dense(), ref_dense)
+        aug = build_augmented(model)
+        succ_maps = [LogicalMatrix(aug.pair_count, row + 1) for row in aug.successors]
+        expected = reference_weighted_sum(succ_maps, [model.probs[v] for v in aug.active])
+        ref_dense = np.zeros((aug.pair_count, aug.pair_count))
+        for j, acc in enumerate(expected, start=1):
+            assert aug.q_matrix.column_dict(j) == acc
+            assert aug.q_matrix.column_support(j) == tuple(sorted(acc))
+            for r, value in acc.items():
+                ref_dense[r - 1, j - 1] = value
+        assert np.array_equal(aug.q_matrix.dense(), ref_dense)
 
 
 def test_weighted_maps_reject_bad_input():
@@ -258,31 +269,48 @@ def test_weighted_maps_reject_bad_input():
             StochasticMatrix.from_weighted_maps(maps, weights)
     with pytest.raises(ValueError, match="at least one map"):
         StochasticMatrix.from_weighted_maps([], [])
-    with pytest.raises(ValueError, match="sums to nan"):
-        StochasticMatrix(2, 1, indptr=np.array([0, 2]), rowidx=np.array([1, 2]),
-                         values=np.array([1.0, np.nan]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        StochasticMatrix(2, 1, indptr=np.array([0, 2]), rowidx=np.array([1, 2]),
-                         values=np.array([1.5, -0.5]))
 
 
 @pytest.mark.parametrize(
-    "rows, cols, indptr, rowidx, values, message",
+    "maps, weights, message",
     [
-        (2, 2, [0, 1], [1], [1.0], "indptr must hold 3 integers"),
-        (2, 2, [1, 1, 2], [1], [1.0], "indptr must start at 0"),
-        (2, 2, [0, 2, 1], [1], [1.0], "never decrease"),
-        (2, 2, [0, 1, 1], [1, 2], [1.0, 1.0], "end at 2"),
-        (2, 1, [0, 1], [1, 2], [1.0], "one integer row index per value"),
-        (2, 1, [0, 1], [5], [1.0], r"row indices must lie in \[1, 2\]"),
-        (2, 1, [0, 1], [0], [1.0], r"row indices must lie in \[1, 2\]"),
-        (2, 1, [0, 2], [2, 1], [0.5, 0.5], "ascend strictly"),
-        (2, 1, [0, 2], [2, 2], [0.5, 0.5], "ascend strictly"),
+        ([0, 1], [1.0], "non-empty 2-D integer array"),
+        ([[0.0, 1.0]], [1.0], "non-empty 2-D integer array"),
+        (np.zeros((0, 2), dtype=int), [], "non-empty 2-D integer array"),
+        ([[0, 1], [1, 0]], [1.0], "one weight per map"),
+        ([[0, 1], [1, 0]], [1.0, np.nan], "finite and nonnegative"),
+        ([[0, 1], [1, 0]], [1.5, -0.5], "finite and nonnegative"),
+        ([[0, 1], [1, 0]], [0.5, 0.25], "sums to 0.75"),
+        ([[0, 2]], [1.0], r"map rows must lie in \[0, 1\]"),
+        ([[-1, 1]], [1.0], r"map rows must lie in \[0, 1\]"),
     ],
 )
-def test_stochastic_matrix_rejects_bad_index_arrays(rows, cols, indptr, rowidx, values, message):
+def test_stochastic_matrix_rejects_bad_maps(maps, weights, message):
     with pytest.raises(ValueError, match=message):
-        StochasticMatrix(rows, cols, indptr=indptr, rowidx=rowidx, values=values)
+        StochasticMatrix(2, np.array(maps), weights)
+
+
+def test_stochastic_matrix_never_aliases_a_callers_array():
+    writable = np.array([[0, 1], [1, 1], [1, 0]])
+    q = StochasticMatrix(2, writable, [0.5, 0.0, 0.5])
+    writable[:] = 0
+    assert q.column_dict(1) == {1: 0.5, 2: 0.5} and q.column_support(2) == (1, 2)
+    frozen = np.array([[0, 1], [1, 0]])
+    frozen.setflags(write=False)
+    assert StochasticMatrix(2, frozen, [0.5, 0.5]).dense().tolist() == [[0.5, 0.5], [0.5, 0.5]]
+
+
+def test_q_matrix_shares_the_successor_array():
+    model = random_model(np.random.default_rng(74), n=7, m=4, allow_zero_probs=False)
+    aug = build_augmented(model)
+    tracemalloc.start()
+    try:
+        aug.q_matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A copy of the 512 KiB successor array, let alone a CSC assembly, would show.
+    assert peak < aug.successors.nbytes // 4, f"reading q_matrix allocated {peak} bytes"
 
 
 def test_dense_expectation_checked_against_dimension_cap(apoptosis, monkeypatch):

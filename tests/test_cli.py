@@ -314,7 +314,7 @@ def test_only_dot_builds_the_expectation_matrix(capsys, monkeypatch, tmp_path):
     def boom(*args, **kwargs):
         raise AssertionError("expectation matrix built")
 
-    monkeypatch.setattr(StochasticMatrix, "from_weighted_maps", boom)
+    monkeypatch.setattr(StochasticMatrix, "__init__", boom)
     code, _, _ = run(capsys, "reach", MODEL_PATH, "--target", "S2")
     assert code == EXIT_OK
     code, _, _ = run(capsys, "analyze", MODEL_PATH, "--quiet", "--sensors")

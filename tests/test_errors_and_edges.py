@@ -62,6 +62,12 @@ BASE = "states: 1\noutputs: 1\nsubnetworks: 1\np: 1.0\n[net 1]\nx1' = x1\n[outpu
             + "[net 2]\nx1' = !x1\n",
             "line 4: probabilities must be finite",
         ),
+        ("outputs: 1\n\n[net 1]\nx1' = x1\n", "line 3: missing header key 'states'"),
+        (
+            "states: 0\noutputs: -1\nsubnetworks: 1\np: 1.0\n[net 1]\n[output]\n",
+            "line 1: states must be positive, got 0",
+        ),
+        (BASE.replace("subnetworks: 1", "subnetworks: 0"), "line 3: subnetworks must be positive"),
     ],
 )
 def test_parse_failures(text, needle):
@@ -133,7 +139,7 @@ def test_stochastic_matrix_guards(apoptosis):
     with pytest.raises(ValueError):
         q.entry(65, 1)
     with pytest.raises(ValueError):
-        aug.column_support(0)
+        aug.q_matrix.column_support(0)
     assert q.entry(29, 29) == pytest.approx(0.1, abs=1e-12)
     assert q.entry(1, 29) == 0.0
 

@@ -234,10 +234,16 @@ def mutated_model_text(draw) -> str:
     return "".join(tokens)
 
 
+# Refusals about something absent from the whole document have no line to name.
+WHOLE_DOCUMENT_ERROR = re.compile(r"missing (\[net \d+\]|\[output\]) section|missing header key '\w+'")
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(mutated_model_text())
+@given(st.one_of(mutated_model_text(), st.text(max_size=200)))
 def test_mutated_model_text_parses_or_is_refused(text):
     try:
         assert isinstance(parse_model(text), PbnModel)
-    except (ModelFormatError, ResourceLimitError):
+    except ModelFormatError as err:
+        assert err.line is not None or WHOLE_DOCUMENT_ERROR.fullmatch(err.message), err.message
+    except ResourceLimitError:
         pass

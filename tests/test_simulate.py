@@ -167,3 +167,12 @@ def test_estimate_step_budget_refuses_every_pair_alike(apoptosis):
             estimate_distinguishability(apoptosis, *pair, horizon + 1, trials, 0)
         with pytest.raises(ResourceLimitError, match=str(2**63)):
             estimate_distinguishability(apoptosis, *pair, 1, 2**63, 0)
+
+
+def test_trajectory_step_budget(apoptosis, monkeypatch):
+    with pytest.raises(ResourceLimitError, match=f"{10**30} steps.*budget {DEFAULT_STEP_BUDGET}"):
+        sample_trajectory(apoptosis, 1, 10**30, 0)
+    monkeypatch.setattr("pbn_minobs.simulate.DEFAULT_STEP_BUDGET", 50)
+    assert len(sample_trajectory(apoptosis, 2, 50, 0).states) == 51
+    with pytest.raises(ResourceLimitError, match="51 steps, over the budget 50"):
+        sample_trajectory(apoptosis, 2, 51, 0)
