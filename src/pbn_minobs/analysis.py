@@ -328,7 +328,12 @@ def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> An
         if residual:
             invariant = canonicalize(maximum_invariant_set(mirror_close(residual, n), aug), n)
             anchors = minimal_anchor_sets(invariant, aug, cap=subset_cap)
-            widened = robust_reach(mirror_close(core_target | invariant, n), aug).union
+            # With no invariant set, the widened target is core_reach's own target.
+            widened = (
+                robust_reach(mirror_close(core_target | invariant, n), aug).union
+                if invariant
+                else core_reach
+            )
             second_residual = residual - (invariant | widened)
             if second_residual:
                 second_anchors = minimal_anchor_sets(second_residual, aug, cap=subset_cap)

@@ -13,6 +13,8 @@ import time
 from functools import cache
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import DEFAULT_SUBSET_CAP, AnalysisReport, minimal_targets
 from .augmented import AugmentedSystem, build_augmented
@@ -21,6 +23,7 @@ from .model import PbnModel, parse_model_file
 from .partition import (
     Partition,
     StateSet,
+    folded_indices,
     folded_pairs,
     mirror_close,
     mirror_index,
@@ -36,6 +39,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_RESOURCE = 4
+
+# Entry count from which _fmt_pairs lays a listing out as one byte matrix;
+# below it, one str.format call per entry is faster.
+BYTE_MATRIX_MIN = 200
 
 # One pair-listing entry as ``json.dumps(..., indent=2)`` lays it out at depth
 # 0, with ``str.format`` fields for the index and the pair.
@@ -151,9 +158,29 @@ def write_json(doc, stream) -> None:
     stream.write("\n")
 
 
-def _fmt_pairs(states: StateSet, n: int) -> str:
-    z, i, j = folded_pairs(states, n)
-    return "{" + ", ".join(map("{}=({},{})".format, z.tolist(), i.tolist(), j.tolist())) + "}"
+def _fmt_pairs(z: np.ndarray, i: np.ndarray, j: np.ndarray) -> str:
+    """``{z=(i,j), ...}`` for the folded arrays of one pair listing.
+
+    A listing of at least ``BYTE_MATRIX_MIN`` entries is laid out as one
+    ``uint8`` matrix with a column per entry and a row per digit place or
+    literal byte.  Places above a number's leading digit hold 0 and are
+    dropped when the columns are read out in order.
+    """
+    if z.size < BYTE_MATRIX_MIN:
+        return "{" + ", ".join(map("{}=({},{})".format, z.tolist(), i.tolist(), j.tolist())) + "}"
+    fields = ((z, b"=("), (i, b","), (j, b"), "))
+    widths = [len(str(values.max())) for values, _ in fields]
+    height = sum(widths) + sum(len(literal) for _, literal in fields)
+    chars = np.empty((height, z.size), dtype=np.uint8)
+    row = 0
+    for (values, literal), width in zip(fields, widths):
+        for place in (10**k for k in reversed(range(width))):
+            chars[row] = np.where(values >= place, values // place % 10 + 48, 0)
+            row += 1
+        chars[row : row + len(literal)] = np.frombuffer(literal, dtype=np.uint8)[:, None]
+        row += len(literal)
+    chars = chars.T
+    return "{" + chars[chars != 0][:-2].tobytes().decode("ascii") + "}"
 
 
 def _summary_lines(model: PbnModel, analysis: AnalysisReport, plan: SensorPlan | None) -> list[str]:
@@ -165,13 +192,13 @@ def _summary_lines(model: PbnModel, analysis: AnalysisReport, plan: SensorPlan |
         f"observable: {'yes' if analysis.observable else 'no'}",
     ]
     if not analysis.observable:
-        lines.append(f"indistinguishable pairs: {_fmt_pairs(analysis.witness, n)}")
+        lines.append(f"indistinguishable pairs: {_fmt_pairs(*folded_pairs(analysis.witness, n))}")
         lines.append(
             "must separate directly (diagonal hitters + fixed points): "
-            f"{_fmt_pairs(analysis.core, n)}"
+            f"{_fmt_pairs(*folded_pairs(analysis.core, n))}"
         )
         for pos, cand in enumerate(analysis.candidates):
-            lines.append(f"candidate {pos}: {_fmt_pairs(cand, n)}")
+            lines.append(f"candidate {pos}: {_fmt_pairs(*folded_pairs(cand, n))}")
     if plan is not None:
         covers = ", ".join(
             "{" + ", ".join(f"x{v}" for v in cover) + "}" for _, cover in plan.optima
@@ -291,11 +318,13 @@ def cmd_reach(args) -> int:
     target = _parse_target(args.target, part, model.n, aug.pair_count)
     result = robust_reach(target, aug)
     n = model.n
-    print(f"target ({len(target)} states, mirror-closed): {_fmt_pairs(target, n)}")
+    print(f"target ({len(target)} states, mirror-closed): "
+          f"{_fmt_pairs(*folded_pairs(target, n))}")
+    # Every layer is mirror-closed: so is the target, and the pair dynamics are symmetric.
     for step, layer in enumerate(result.layers, start=1):
-        print(f"layer {step}: {_fmt_pairs(layer, n)}")
+        print(f"layer {step}: {_fmt_pairs(*folded_indices(layer, n))}")
     print(f"union ({len(result.union)} states in {result.steps} layers): "
-          f"{_fmt_pairs(result.union, n)}")
+          f"{_fmt_pairs(*folded_pairs(result.union, n))}")
     return EXIT_OK
 
 

@@ -190,7 +190,11 @@ def canonicalize(s: StateSet, n: int) -> StateSet:
 def folded_pairs(s: StateSet, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """int64 arrays (index, i, j) of every canonical i <= j representative, in index order."""
     grid = _as_square(s, n)
-    z = np.flatnonzero(grid | grid.T)
+    return folded_indices(np.flatnonzero(grid | grid.T), n)
+
+
+def folded_indices(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`folded_pairs` of a mirror-closed set given by its ascending 0-based indices."""
     first, second = np.divmod(z, 1 << n)
     keep = first <= second
     return z[keep] + 1, first[keep] + 1, second[keep] + 1

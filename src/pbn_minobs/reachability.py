@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .augmented import AugmentedSystem
 from .model import PbnModel
 from .partition import StateSet
@@ -17,9 +19,13 @@ from .partition import StateSet
 
 @dataclass(frozen=True)
 class ReachResult:
-    """Per-step layers of newly arriving states plus their union."""
+    """Per-step layers of newly arriving states plus their union.
 
-    layers: tuple[StateSet, ...]
+    Each layer is an ascending int64 array of 0-based pair indices; the layer
+    sizes add up to ``len(union)``.
+    """
+
+    layers: tuple[np.ndarray, ...]
     union: StateSet
     steps: int
 
@@ -36,17 +42,26 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
 
     Layer k holds the states arriving in exactly k steps once earlier layers
     and the target itself count as arrived; iteration stops at the first
-    empty layer.
+    empty layer.  Only the states still pending are tested each step.
     """
-    layers: list[StateSet] = []
-    arrived = target
-    while True:
-        layer = one_step_robust(arrived, aug, arrived)
-        if not layer:
+    if target.universe != aug.pair_count:
+        raise ValueError("state sets must live in the augmented pair space")
+    arrived = target.bits.copy()
+    pending = np.flatnonzero(~arrived)
+    layers: list[np.ndarray] = []
+    first, *rest = aug.successors
+    for _ in range(pending.size):  # a layer takes at least one pending state
+        hit = arrived[first[pending]]
+        for row in rest:
+            hit &= arrived[row[pending]]
+        if not hit.any():
             break
+        layer = pending[hit]
+        arrived[layer] = True
+        pending = pending[~hit]
         layers.append(layer)
-        arrived = arrived | layer
-    return ReachResult(layers=tuple(layers), union=arrived - target, steps=len(layers))
+    arrived &= ~target.bits
+    return ReachResult(layers=tuple(layers), union=StateSet._own(arrived), steps=len(layers))
 
 
 def robust_reach_oracle(target: StateSet, model: PbnModel, depth_cap: int) -> StateSet:

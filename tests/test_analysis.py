@@ -356,3 +356,36 @@ def test_invariant_set_matches_plain_greatest_fixpoint():
                 break
             current = kept
         assert maximum_invariant_set(constraint, aug).indices() == tuple(sorted(current))
+
+
+def test_empty_invariant_set_reuses_core_reach(monkeypatch):
+    # With no invariant set, the widened target is core_reach's own target, so
+    # minimal_targets runs two reaches instead of three; the report is unchanged.
+    targets = []
+
+    def counted(target, aug):
+        targets.append(target)
+        return robust_reach(target, aug)
+
+    monkeypatch.setattr(analysis, "robust_reach", counted)
+    rng = np.random.default_rng(2026)
+    seen = {2: 0, 3: 0}
+    for _ in range(300):
+        model = random_model(rng, n=int(rng.integers(2, 6)))
+        targets.clear()
+        try:
+            report = minimal_targets(model, subset_cap=14)
+        except ResourceLimitError:
+            continue
+        if not report.residual:
+            continue
+        reaches = 3 if report.invariant_set else 2
+        assert len(targets) == reaches
+        seen[reaches] += 1
+        aug = report.system
+        widened_target = mirror_close(report.core_target | report.invariant_set, model.n)
+        widened = robust_reach(widened_target, aug).union
+        second = report.residual - (report.invariant_set | widened)
+        assert report.second_residual == second
+        assert report.second_anchors == (minimal_anchor_sets(second, aug, cap=14) if second else ())
+    assert seen[2] >= 40 and seen[3] >= 20, seen

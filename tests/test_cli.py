@@ -20,8 +20,10 @@ from pbn_minobs import (
     render_model,
     robust_reach,
 )
+from pbn_minobs import cli
 from pbn_minobs.analysis import DEFAULT_SUBSET_CAP
 from pbn_minobs.cli import (
+    BYTE_MATRIX_MIN,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -379,10 +381,12 @@ def _check_analyze(capsys, path, model):
 def _check_reach(capsys, path, model):
     n = model.n
     target = mirror_close(partition_states(model).s2, n)
-    result = robust_reach(target, build_augmented(model))
+    aug = build_augmented(model)
+    result = robust_reach(target, aug)
+    layers = [StateSet.from_indices(aug.pair_count, layer + 1) for layer in result.layers]
     expected = [f"target ({len(target)} states, mirror-closed): {_reference_fmt(target, n)}"]
     expected += [f"layer {step}: {_reference_fmt(layer, n)}"
-                 for step, layer in enumerate(result.layers, start=1)]
+                 for step, layer in enumerate(layers, start=1)]
     expected.append(f"union ({len(result.union)} states in {result.steps} layers): "
                     f"{_reference_fmt(result.union, n)}")
     assert run(capsys, "reach", path, "--target", "S2") == (EXIT_OK, "\n".join(expected) + "\n", "")
@@ -406,6 +410,29 @@ def test_random_reports_and_listings_match_references(capsys, tmp_path, n):
             _check_reach(capsys, path, model)
     # Random models above n = 4 are seldom observable.
     assert {"observable", "unobservable"} <= seen if n <= 4 else "unobservable" in seen
+
+
+def _plain_fmt(z, i, j):
+    return "{" + ", ".join(map("{}=({},{})".format, z.tolist(), i.tolist(), j.tolist())) + "}"
+
+
+# 1 sends every non-empty listing through the byte matrix, 10**9 none of them.
+@pytest.mark.parametrize("shortest", [1, BYTE_MATRIX_MIN, 10**9])
+def test_pair_formatter_matches_plain_join(monkeypatch, shortest):
+    monkeypatch.setattr(cli, "BYTE_MATRIX_MIN", shortest)
+    rng = np.random.default_rng(17)
+    edges = np.array([9, 10, 99, 100, 999, 1000])
+    listings = [
+        (edges, edges[::-1], np.roll(edges, 2)),
+        (np.array([1]), np.array([1]), np.array([1])),
+        (np.array([4**10]), np.array([2**10]), np.array([2**10])),
+    ]
+    for size in (BYTE_MATRIX_MIN - 1, BYTE_MATRIX_MIN, BYTE_MATRIX_MIN + 1):
+        listings.append(tuple(np.sort(rng.integers(1, 20_000, size)) for _ in range(3)))
+    for z, i, j in listings:
+        assert cli._fmt_pairs(z, i, j) == _plain_fmt(z, i, j)
+    nothing = np.array([], dtype=np.int64)
+    assert cli._fmt_pairs(nothing, nothing, nothing) == "{}"
 
 
 CLI_INTEGERS = st.one_of(st.integers(-2, 70), st.sampled_from([2**63, 10**30]))

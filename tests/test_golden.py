@@ -1,9 +1,10 @@
-"""Frozen command outputs on the three models in ``tests/data``.
+"""Frozen command outputs on the models in ``tests/data``.
 
-For each model, the expected stdout, stderr and DOT file of ``analyze
---sensors --max-subset 14 --dot``, the stdout of ``reach --target S2`` and
-one ``simulate`` line were written by the program and checked in next to it;
-a difference is a change of an answer or of the output format.  Commands run
+For each model in ``CASES``, the expected stdout, stderr and DOT file of
+``analyze --sensors --max-subset 14 --dot``, the stdout of ``reach --target
+S2`` and one ``simulate`` line were written by the program and checked in next
+to it; a model in ``REACH_CASES`` has only its ``reach --target S2`` stdout.
+A difference is a change of an answer or of the output format.  Commands run
 from ``tests/data`` with the bare file name, so the report's ``model.path`` is
 that name, and every ``timing`` value reads 0.0.
 """
@@ -21,6 +22,9 @@ DATA = Path(__file__).resolve().parent / "data"
 
 # Model name -> an output-equal pair for the simulate command.
 CASES = {"apoptosis": "1,4", "family-n4-seed13": "2,4", "zero-probs-n4": "7,11"}
+
+# n = 6 models whose reach listings run past cli.BYTE_MATRIX_MIN entries.
+REACH_CASES = ("family-n6-seed1",)
 
 TIMING = re.compile(r'("(?:parse|analysis|sensors|total)_s": )[^,\n]+')
 
@@ -59,3 +63,11 @@ def test_outputs_match_frozen_bytes(name, tmp_path, monkeypatch):
     for suffix, text in texts.items():
         expected = (DATA / f"{name}.{suffix}").read_text(encoding="utf-8")
         assert text == expected, f"{name}.{suffix} differs from the frozen output"
+
+
+@pytest.mark.parametrize("name", REACH_CASES)
+def test_long_reach_listings_match_frozen_bytes(name, monkeypatch):
+    monkeypatch.chdir(DATA)
+    code, out, err = _run("reach", f"{name}.pbn", "--target", "S2")
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"{name}.reach.out").read_text(encoding="utf-8")

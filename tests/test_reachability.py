@@ -61,6 +61,7 @@ def test_layers_are_disjoint_and_exclude_target(apoptosis):
     assert result.steps == len(result.layers) <= aug.pair_count
     seen = StateSet.empty(aug.pair_count)
     for layer in result.layers:
+        layer = StateSet.from_indices(aug.pair_count, layer + 1)
         assert layer
         assert layer.isdisjoint(target)
         assert layer.isdisjoint(seen)
@@ -158,3 +159,49 @@ def test_oracle_depth_cap_validated(apoptosis):
     target = StateSet.from_indices(64, [2])
     with pytest.raises(ValueError):
         robust_reach_oracle(target, apoptosis, depth_cap=10)
+
+
+def _reference_layers(target, aug):
+    """Layers by repeated full one-step sweeps, as 0-based index arrays."""
+    layers, arrived = [], target
+    while True:
+        layer = one_step_robust(arrived, aug, arrived)
+        if not layer:
+            return layers
+        layers.append(np.flatnonzero(layer.bits))
+        arrived = arrived | layer
+
+
+def test_layers_match_one_step_sweeps_on_random_models():
+    rng = np.random.default_rng(44)
+    layered = 0
+    for _ in range(240):
+        model = random_model(rng, n=int(rng.integers(2, 6)))
+        aug = build_augmented(model)
+        pairs = aug.pair_count
+        raw = rng.integers(1, pairs + 1, size=int(rng.integers(1, pairs // 4 + 2)))
+        targets = [
+            mirror_close(partition_states(model).s2, model.n),
+            StateSet.from_indices(pairs, raw),  # seldom mirror-closed
+        ]
+        for target in targets:
+            result = robust_reach(target, aug)
+            expected = _reference_layers(target, aug)
+            assert result.steps == len(result.layers) == len(expected)
+            seen = target.bits.copy()
+            for layer, ref in zip(result.layers, expected):
+                assert layer.dtype == np.int64
+                assert np.array_equal(layer, ref)
+                assert layer.size and (np.diff(layer) > 0).all()
+                assert not seen[layer].any()
+                seen[layer] = True
+            assert sum(layer.size for layer in result.layers) == len(result.union)
+            assert result.union == StateSet(pairs, seen) - target
+            layered += bool(result.steps)
+    assert layered >= 200
+
+
+def test_reach_rejects_target_from_another_universe(apoptosis):
+    aug = build_augmented(apoptosis)
+    with pytest.raises(ValueError):
+        robust_reach(StateSet.from_indices(16, [2]), aug)
