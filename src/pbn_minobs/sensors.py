@@ -115,10 +115,8 @@ class CandidateCover:
     """Cover search outcome for one candidate target set."""
 
     target: StateSet
-    truth: TruthMatrix | None
     covers: tuple[tuple[int, ...], ...]
-    size: int | None
-    infeasible_reason: str | None = None
+    size: int
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,6 @@ class SensorPlan:
     suggested: tuple[int, tuple[int, ...]]
     extended_output: LogicalMatrix
     extended_observable: bool
-    diagnostics: tuple[str, ...] = ()
 
 
 def extend_output(model: PbnModel, measurements) -> PbnModel:
@@ -164,23 +161,13 @@ def global_min_sensors(report: AnalysisReport, model: PbnModel) -> SensorPlan:
         raise ValueError("model is already observable; nothing to add")
     if report.system.model != model:
         raise ValueError("the report was computed for a different model")
-    per_candidate: list[CandidateCover] = []
-    diagnostics: list[str] = []
+    per_candidate = []
+    # No candidate lacks a cover: truth_matrix keeps only pairs (i, j) with i < j,
+    # and distinct states differ in some variable, so every column has a set bit.
     for cand in report.candidates:
-        try:
-            phi = truth_matrix(cand, model.n)
-            covers = min_cover(phi)
-        except InfeasibleCoverError as exc:
-            diagnostics.append(f"candidate {sorted(cand.indices())} skipped: {exc}")
-            per_candidate.append(
-                CandidateCover(cand, None, (), None, infeasible_reason=str(exc))
-            )
-            continue
-        per_candidate.append(CandidateCover(cand, phi, covers, len(covers[0])))
-    feasible = [c for c in per_candidate if c.size is not None]
-    if not feasible:
-        raise InfeasibleCoverError("no candidate target set admits a measurement cover")
-    min_size = min(c.size for c in feasible)
+        covers = min_cover(truth_matrix(cand, model.n))
+        per_candidate.append(CandidateCover(cand, covers, len(covers[0])))
+    min_size = min(c.size for c in per_candidate)
     optima = tuple(
         (pos, cover)
         for pos, c in enumerate(per_candidate)
@@ -198,5 +185,4 @@ def global_min_sensors(report: AnalysisReport, model: PbnModel) -> SensorPlan:
         suggested=suggested,
         extended_output=extended.output,
         extended_observable=not witness,
-        diagnostics=tuple(diagnostics),
     )

@@ -140,6 +140,13 @@ def test_reach_named_target(capsys):
     assert "4=" not in out.split("union")[1]
 
 
+def test_reach_named_target_ignores_case_and_blanks(capsys):
+    for loose, exact in ((" s2 ", "S2"), ("s1", "S1")):
+        code, out, _ = run(capsys, "reach", MODEL_PATH, "--target", loose)
+        assert code == EXIT_OK
+        assert out == run(capsys, "reach", MODEL_PATH, "--target", exact)[1]
+
+
 def test_reach_explicit_indices(capsys):
     code, out, _ = run(
         capsys, "reach", MODEL_PATH, "--target", "4,5,14,24,29,31,"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pbn_minobs import (
-    AnalysisReport,
     InfeasibleCoverError,
     LogicalMatrix,
     ModelFormatError,
@@ -144,33 +143,6 @@ def test_stochastic_matrix_guards(apoptosis):
     assert q.entry(1, 29) == 0.0
 
 
-def test_infeasible_candidate_is_skipped_with_diagnostic(apoptosis, monkeypatch):
-    report = minimal_targets(apoptosis)
-    doubled = AnalysisReport(
-        **{
-            **{f: getattr(report, f) for f in report.__dataclass_fields__},
-            "candidates": (report.candidates[0], report.candidates[0]),
-        }
-    )
-    import pbn_minobs.sensors as sensors_mod
-
-    real = sensors_mod.truth_matrix
-    calls = {"count": 0}
-
-    def flaky(target, n):
-        calls["count"] += 1
-        if calls["count"] == 1:
-            raise InfeasibleCoverError("pair state 4 = (1, 4) is not separated")
-        return real(target, n)
-
-    monkeypatch.setattr(sensors_mod, "truth_matrix", flaky)
-    plan = global_min_sensors(doubled, apoptosis)
-    assert plan.per_candidate[0].infeasible_reason
-    assert plan.per_candidate[1].size == 2
-    assert plan.diagnostics
-    assert plan.min_size == 2
-
-
 def test_sensor_search_needs_the_reports_own_model(apoptosis):
     report = minimal_targets(apoptosis)
     other = PbnModel(
@@ -189,12 +161,15 @@ def test_all_candidates_infeasible_raises(apoptosis, monkeypatch):
     report = minimal_targets(apoptosis)
     import pbn_minobs.sensors as sensors_mod
 
-    def always_infeasible(target, n):
-        raise InfeasibleCoverError("nothing separates")
+    error = InfeasibleCoverError("nothing separates")
 
-    monkeypatch.setattr(sensors_mod, "truth_matrix", always_infeasible)
-    with pytest.raises(InfeasibleCoverError, match="no candidate"):
+    def always_infeasible(phi):
+        raise error
+
+    monkeypatch.setattr(sensors_mod, "min_cover", always_infeasible)
+    with pytest.raises(InfeasibleCoverError) as caught:
         global_min_sensors(report, apoptosis)
+    assert caught.value is error
 
 
 def test_single_node_network_end_to_end():

