@@ -2,12 +2,21 @@
 
 Both network copies always share one switching draw per step.  Randomness
 comes from numpy's default generator (PCG64); trial t of an estimate uses the
-substream seeded with seed + t, so runs are reproducible.
+substream that ``np.random.default_rng(seed + t)`` gives, so runs are
+reproducible.  The estimate runs all trials in lockstep without building
+those generators: it derives every trial's PCG64 state with numpy's
+``SeedSequence`` mixing done as uint32 array arithmetic, draws each live
+trial's uniforms a block at a time by LCG jump-ahead, walks every live pair
+through the block together and finds each trial's first separation or merge
+with one ``argmax``.  The draws are bit-identical to the generators', so the
+estimate equals the plain per-trial loop exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import islice
 
 import numpy as np
 
@@ -16,6 +25,26 @@ from .model import PbnModel
 from .partition import StateSet, pair_index
 
 DEFAULT_STEP_BUDGET = 10**7
+
+# Live trials x block steps in one block of the estimate.  It bounds the
+# block's arrays (a 9 MB tracemalloc peak) for every trial count; trials run
+# in chunks small enough for the first, 8-step block.
+_BLOCK_CELLS = 1 << 16
+_CHUNK = _BLOCK_CELLS // 8
+_MAX_BLOCK = 1024
+
+# numpy's SeedSequence hash and mix constants (numpy/random/bit_generator.pyx)
+# and the PCG64 multiplier (O'Neill's PCG report, numpy/random/src/pcg64).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_U16 = np.uint32(16)
+_S32, _S58, _S63, _S11 = np.uint64(32), np.uint64(58), np.uint64(63), np.uint64(11)
+_LOW32 = np.uint64(_M32)
 
 
 @dataclass(frozen=True)
@@ -28,12 +57,17 @@ class Trajectory:
     seed: int
 
 
-def _draw_switch(model: PbnModel, cumulative: np.ndarray, rng: np.random.Generator) -> int:
-    v = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    v = min(v, model.m - 1)
-    while model.probs[v] <= 0.0:
-        v -= 1
-    return v
+def _switch_rule(model: PbnModel) -> tuple[np.ndarray, np.ndarray]:
+    """``cumsum(p)`` and the table ``pick`` with ``pick[searchsorted(cumsum(p), u,
+    'right')]`` the 0-based subnetwork that uniform ``u`` selects.
+
+    ``pick[k] = max{v <= k : p_v > 0}``: an index that lands on a zero-probability
+    subnetwork steps back to the nearest positive one below, and index m, which a
+    cumulative sum rounded short of 1 allows, acts as m - 1.
+    """
+    probs = np.asarray(model.probs)
+    pick = np.maximum.accumulate(np.where(probs > 0.0, np.arange(model.m), -1))
+    return np.cumsum(probs), np.append(pick, pick[-1])
 
 
 def sample_trajectory(model: PbnModel, x0: int, horizon: int, seed: int) -> Trajectory:
@@ -52,16 +86,179 @@ def sample_trajectory(model: PbnModel, x0: int, horizon: int, seed: int) -> Traj
             f"trajectory needs {horizon} steps, over the budget {DEFAULT_STEP_BUDGET}; "
             "lower the horizon"
         )
-    rng = np.random.default_rng(seed)
-    cumulative = np.cumsum(model.probs)
+    cumulative, pick = _switch_rule(model)
+    u = np.random.default_rng(seed).random(horizon)
+    switches = pick[np.searchsorted(cumulative, u, side="right")].tolist()
     states = [x0]
-    switches = []
-    for _ in range(horizon):
-        v = _draw_switch(model, cumulative, rng)
-        switches.append(v + 1)
+    for v in switches:
         states.append(model.transitions[v].column(states[-1]))
     outputs = [model.output.column(s) for s in states]
-    return Trajectory(tuple(states), tuple(outputs), tuple(switches), seed)
+    return Trajectory(tuple(states), tuple(outputs), tuple(v + 1 for v in switches), seed)
+
+
+def _hash_steps(init: int, mult: int):
+    """SeedSequence's running hash constant: the (xor, multiply) pair of each call."""
+    h = init
+    while True:
+        nxt = h * mult & _M32
+        yield h, nxt
+        h = nxt
+
+
+def _hashmix(value: np.ndarray, steps) -> np.ndarray:
+    x, y = next(steps)
+    value = (value ^ np.uint32(x)) * np.uint32(y)
+    return value ^ (value >> _U16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> _U16)
+
+
+def _seed_words(base: int, count: int) -> np.ndarray:
+    """Column t is ``np.random.SeedSequence(base + t).generate_state(4, np.uint64)``.
+
+    The entropy of ``base + t`` is its little-endian uint32 words; a seed below
+    2^128 has at most four, and a missing word hashes like a zero word, so every
+    lane pads to four.  ``count`` < 2^64, so the lanes' words above the low 64
+    bits take one of two values: the base's, or that plus the carry.
+    """
+    low_base = np.uint64(base & _M64)
+    low = low_base + np.arange(count, dtype=np.uint64)
+    carry = low < low_base
+    highs = (base >> 64, (base >> 64) + 1)
+    words = [(low & _LOW32).astype(np.uint32), (low >> _S32).astype(np.uint32)]
+    for shift in (0, 32):
+        plain, carried = (np.uint32(h >> shift & _M32) for h in highs)
+        words.append(np.where(carry, carried, plain))
+
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, steps) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
+    # Seeds of 2^128 and above have words past the pool.  numpy mixes each one
+    # into every pool word, hashing it afresh for every (word, pool word) pair.
+    for high, lanes in zip(highs, (~carry, carry)):
+        extra = high >> 64
+        if not extra or not lanes.any():
+            continue
+        part = [p[lanes] for p in pool]
+        steps = islice(_hash_steps(_INIT_A, _MULT_A), 16, None)
+        while extra:
+            word = np.full(len(part[0]), extra & _M32, dtype=np.uint32)
+            for dst in range(4):
+                part[dst] = _mix(part[dst], _hashmix(word, steps))
+            extra >>= 32
+        for p, q in zip(pool, part):
+            p[lanes] = q
+
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    out = [_hashmix(pool[i % 4], steps).astype(np.uint64) for i in range(8)]
+    return np.stack([out[i] | (out[i + 1] << _S32) for i in range(0, 8, 2)])
+
+
+@cache
+def _jump_table() -> tuple[np.ndarray, ...]:
+    """For j = 1.._MAX_BLOCK, as (_MAX_BLOCK, 1) columns: ``A_j = MULT^j`` and
+    ``C_j = MULT^(j-1) + ... + 1`` mod 2^128, each as its high word, low word
+    and the low word's two 32-bit halves, so ``s_j = A_j s + C_j inc``."""
+    a, c = 1, 0
+    rows = []
+    for _ in range(_MAX_BLOCK):
+        a, c = a * _PCG_MULT & _M128, (c * _PCG_MULT + 1) & _M128
+        rows.append([x for v in (a, c) for x in (v >> 64, v & _M64, v & _M32, v >> 32 & _M32)])
+    return tuple(col.reshape(-1, 1) for col in np.array(rows, dtype=np.uint64).T)
+
+
+def _times(x_hi, x_lo, a_hi, a_lo, a_lo0, a_lo1):
+    """``a * x`` mod 2^128 on (high, low) uint64 words; the high word of the
+    64 x 64-bit low product comes from 32-bit halves."""
+    x0, x1 = x_lo & _LOW32, x_lo >> _S32
+    p00, p01, p10 = x0 * a_lo0, x0 * a_lo1, x1 * a_lo0
+    mid = (p00 >> _S32) + (p01 & _LOW32) + (p10 & _LOW32)
+    high = x1 * a_lo1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+    return high + x_lo * a_hi + x_hi * a_lo, x_lo * a_lo
+
+
+def _advance(state: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64 states after 1..k steps, as (k, L) high and low words.
+
+    ``state`` holds rows state high, state low, inc high and inc low, one
+    column per trial.
+    """
+    table = _jump_table()
+    s_hi, s_lo, i_hi, i_lo = state
+    a_hi, a_lo = _times(s_hi, s_lo, *(col[:k] for col in table[:4]))
+    c_hi, c_lo = _times(i_hi, i_lo, *(col[:k] for col in table[4:]))
+    lo = a_lo + c_lo
+    return a_hi + c_hi + (lo < a_lo), lo
+
+
+def _pcg_states(base: int, count: int) -> np.ndarray:
+    """State high, state low, inc high and inc low rows; column t is
+    ``default_rng(base + t)``'s generator.
+
+    PCG64 seeds as the PCG reference does: ``inc = initseq << 1 | 1``, state 0,
+    one step, add ``initstate``, one step.
+    """
+    init_hi, init_lo, seq_hi, seq_lo = _seed_words(base, count)
+    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> _S63)
+    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+    lo = inc_lo + init_lo
+    hi = inc_hi + init_hi + (lo < inc_lo)
+    state = np.stack([hi, lo, inc_hi, inc_lo])
+    hi, lo = _advance(state, 1)
+    state[0], state[1] = hi[0], lo[0]
+    return state
+
+
+def _uniforms(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` doubles from PCG64 states already stepped: the
+    XSL-RR output ``rotr64(hi ^ lo, hi >> 58)``, top 53 bits scaled."""
+    x = hi ^ lo
+    r = hi >> _S58
+    x = (x >> r) | (x << ((np.uint64(64) - r) & _S63))
+    return (x >> _S11).astype(np.float64) * 2.0**-53
+
+
+def _count_separations(
+    model: PbnModel, x0: int, x0_other: int, horizon: int, base: int, count: int
+) -> int:
+    """How many trials on seeds ``base``..``base + count - 1`` separate within ``horizon``."""
+    size = model.state_count
+    table = np.concatenate([mat.col_index for mat in model.transitions]).astype(np.intp) - 1
+    out = model.output.col_index
+    cumulative, pick = _switch_rule(model)
+    offset = pick * size
+    state = _pcg_states(base, count)
+    pos = np.repeat(np.array([x0 - 1, x0_other - 1], dtype=np.intp), count)
+    hits = done = 0
+    step = 8
+    while done < horizon and state.shape[1]:
+        live = state.shape[1]
+        k = min(step, horizon - done, _BLOCK_CELLS // live)
+        hi, lo = _advance(state, k)
+        v = offset[np.searchsorted(cumulative, _uniforms(hi, lo), side="right")]
+        v = np.concatenate([v, v], axis=1)
+        path = np.empty((k + 1, 2 * live), dtype=np.intp)
+        path[0] = pos
+        for j in range(k):
+            path[j + 1] = table[v[j] + path[j]]
+        a, b = path[1:, :live], path[1:, live:]
+        apart = out[a] != out[b]
+        ends = apart | (a == b)
+        first = ends.argmax(axis=0)
+        lanes = np.arange(live)
+        hits += int(np.count_nonzero(apart[first, lanes]))
+        going = ~ends[first, lanes]
+        state = np.stack([hi[-1], lo[-1], state[2], state[3]])[:, going]
+        pos = path[k][np.concatenate([going, going])]
+        done += k
+        step = min(2 * step, _MAX_BLOCK)
+    return hits
 
 
 def estimate_distinguishability(
@@ -90,20 +287,14 @@ def estimate_distinguishability(
         return 0.0
     if out[x0 - 1] != out[x0_other - 1]:
         return 1.0
-    cumulative = np.cumsum(model.probs)
+    if horizon == 0:
+        # Output-equal distinct states stay unseparated; this is the one case
+        # the budget passes for any trial count.
+        return 0.0
     hits = 0
-    for t in range(trials):
-        rng = np.random.default_rng(seed + t)
-        a, b = x0, x0_other
-        for _ in range(horizon):
-            v = _draw_switch(model, cumulative, rng)
-            a = model.transitions[v].column(a)
-            b = model.transitions[v].column(b)
-            if out[a - 1] != out[b - 1]:
-                hits += 1
-                break
-            if a == b:
-                break
+    for start in range(0, trials, _CHUNK):
+        count = min(_CHUNK, trials - start)
+        hits += _count_separations(model, x0, x0_other, horizon, int(seed) + start, count)
     return hits / trials
 
 

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pbn_minobs import (
+    LogicalMatrix,
+    PbnModel,
     ResourceLimitError,
     build_augmented,
     estimate_distinguishability,
@@ -14,6 +18,7 @@ from pbn_minobs import (
     robust_reach,
     sample_trajectory,
 )
+from pbn_minobs import simulate
 from pbn_minobs.simulate import DEFAULT_STEP_BUDGET
 
 from conftest import random_model
@@ -176,3 +181,149 @@ def test_trajectory_step_budget(apoptosis, monkeypatch):
     assert len(sample_trajectory(apoptosis, 2, 50, 0).states) == 51
     with pytest.raises(ResourceLimitError, match="51 steps, over the budget 50"):
         sample_trajectory(apoptosis, 2, 51, 0)
+
+
+def test_estimate_horizon_zero_sets_up_no_substream(apoptosis):
+    # An output-equal distinct pair at horizon 0 passes the budget for any
+    # trial count (0 x trials = 0) and must return without drawing.
+    assert estimate_distinguishability(apoptosis, 1, 4, 0, 2**63, 0) == 0.0
+
+
+def _reference_switch(model, cumulative, rng):
+    """One generator call and the clip-and-step-back switch rule."""
+    v = min(int(np.searchsorted(cumulative, rng.random(), side="right")), model.m - 1)
+    while model.probs[v] <= 0.0:
+        v -= 1
+    return v
+
+
+def _reference_trajectory_states(model, x0, horizon, seed):
+    rng = np.random.default_rng(seed)
+    cumulative = np.cumsum(model.probs)
+    states, switches = [x0], []
+    for _ in range(horizon):
+        v = _reference_switch(model, cumulative, rng)
+        switches.append(v + 1)
+        states.append(model.transitions[v].column(states[-1]))
+    return tuple(states), tuple(switches)
+
+
+def test_trajectory_matches_per_step_loop(apoptosis):
+    rng = np.random.default_rng(75)
+    dead = random_model(rng, n=3, m=4, allow_zero_probs=False)
+    dead = PbnModel(dead.n, dead.q, dead.transitions, dead.output, (0.0, 0.5, 0.0, 0.5))
+    models = (apoptosis, random_model(rng, n=4, m=3, allow_zero_probs=False), dead)
+    for model in models:
+        for seed in range(50):
+            traj = sample_trajectory(model, 1 + seed % model.state_count, 30, seed)
+            assert (traj.states, traj.switches) == _reference_trajectory_states(
+                model, 1 + seed % model.state_count, 30, seed
+            )
+
+
+SEED_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 7, 2**128 - 1, 2**128,
+              2**200 + 12345)
+
+
+def _assert_substreams(base, count):
+    words = simulate._seed_words(base, count)
+    uniforms = simulate._uniforms(*simulate._advance(simulate._pcg_states(base, count), 64))
+    for t in range(count):
+        expected = np.random.SeedSequence(base + t).generate_state(4, np.uint64)
+        assert np.array_equal(words[:, t], expected), base + t
+        assert np.array_equal(uniforms[:, t], np.random.default_rng(base + t).random(64)), base + t
+
+
+def test_bulk_seeds_match_numpy_generators():
+    for s in SEED_EDGES:
+        _assert_substreams(s, 1)
+    for s in np.random.default_rng(76).integers(0, 2**63, 500):
+        _assert_substreams(int(s), 1)
+    # One call whose seeds cross 2^64, 2^128 (where a fifth entropy word
+    # appears) and 2^160.
+    for edge in (2**64, 2**128, 2**160):
+        _assert_substreams(edge - 3, 6)
+
+
+def _reference_estimate(model, x0, x0_other, horizon, trials, seed):
+    """The plain per-trial loop: one default_rng(seed + t) generator per trial."""
+    out = model.output.col_index
+    if x0 == x0_other:
+        return 0.0
+    if out[x0 - 1] != out[x0_other - 1]:
+        return 1.0
+    cumulative = np.cumsum(model.probs)
+    hits = 0
+    for t in range(trials):
+        rng = np.random.default_rng(seed + t)
+        a, b = x0, x0_other
+        for _ in range(horizon):
+            v = _reference_switch(model, cumulative, rng)
+            a = model.transitions[v].column(a)
+            b = model.transitions[v].column(b)
+            if out[a - 1] != out[b - 1]:
+                hits += 1
+                break
+            if a == b:
+                break
+    return hits / trials
+
+
+def _lazy_cycle(n):
+    """A rotation taken with probability 0.01, else the identity: with a
+    one-state output, far pairs take thousands of steps to separate."""
+    size = 1 << n
+    states = np.arange(1, size + 1)
+    return PbnModel(
+        n=n,
+        q=1,
+        transitions=(LogicalMatrix(size, states), LogicalMatrix(size, np.roll(states, 1))),
+        output=LogicalMatrix(2, np.where(states == 1, 2, 1)),
+        probs=(0.99, 0.01),
+    )
+
+
+def test_estimate_matches_per_trial_loop():
+    rng = np.random.default_rng(77)
+    checked = strict = 0
+    while checked < 300:
+        model = random_model(rng, n=int(rng.integers(1, 6)), m=int(rng.integers(1, 5)))
+        out = model.output.col_index
+        pairs = [
+            (i, j)
+            for i in range(1, model.state_count + 1)
+            for j in range(i + 1, model.state_count + 1)
+            if out[i - 1] == out[j - 1]
+        ]
+        if not pairs:
+            continue
+        i, j = pairs[int(rng.integers(len(pairs)))]
+        horizon, trials = int(rng.integers(0, 101)), int(rng.integers(1, 701))
+        seed = int(rng.integers(0, 2**63)) if checked % 10 else 2**128 - int(rng.integers(1, 700))
+        expected = _reference_estimate(model, i, j, horizon, trials, seed)
+        assert estimate_distinguishability(model, i, j, horizon, trials, seed) == expected
+        checked += 1
+        strict += 0.0 < expected < 1.0
+    assert strict > 30
+    # Past two full 1024-step blocks, and trials that span a chunk boundary.
+    model = _lazy_cycle(5)
+    for (i, j), horizon, trials in (((32, 31), 2500, 20), ((2, 5), 12, simulate._CHUNK + 40)):
+        expected = _reference_estimate(model, i, j, horizon, trials, 5)
+        assert 0.0 < expected < 1.0
+        assert estimate_distinguishability(model, i, j, horizon, trials, 5) == expected
+
+
+def test_estimate_memory_does_not_grow_with_trials(apoptosis):
+    tracemalloc.start()
+    try:
+        est = estimate_distinguishability(apoptosis, 2, 3, 1, 10**7, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < est < 1.0
+    assert peak < 64 * 2**20, peak
+    # A slice of the same substreams, mid-run, against the plain loop.
+    start = 5 * 10**6
+    assert estimate_distinguishability(apoptosis, 2, 3, 1, 10**5, start) == _reference_estimate(
+        apoptosis, 2, 3, 1, 10**5, start
+    )
