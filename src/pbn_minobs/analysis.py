@@ -161,9 +161,10 @@ def _cyclic_components(
     is not a canonical i < j pair, and ResourceLimitError as soon as a
     cyclic component has more than ``cap`` states.
     """
-    size = 1 << aug.model.n
+    n = aug.model.n
+    size = 1 << n
     states = np.flatnonzero(invariant.bits)
-    first, second = np.divmod(states, size)
+    first, second = states >> n, states & (size - 1)
     if (first >= second).any():
         raise ValueError("anchor search needs canonical i < j pairs")
     position = np.full(aug.pair_count, -1, dtype=np.int32)

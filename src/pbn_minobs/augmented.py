@@ -155,7 +155,11 @@ def build_augmented(model: PbnModel) -> AugmentedSystem:
             f"augmented system needs {model.m}x{pair_count} stored entries, "
             f"exceeding the cap {cap}"
         )
-    succ = np.stack([pair_map(model.transitions[v]).col_index - 1 for v in model.active])
+    # Each row is written in place: pair i * size + j goes to col[i] * size + col[j].
+    succ = np.empty((len(model.active), pair_count), dtype=np.int64)
+    for row, v in zip(succ, model.active):
+        col = model.transitions[v].col_index - 1
+        np.add.outer(col * size, col, out=row.reshape(size, size))
     succ.setflags(write=False)
     return AugmentedSystem(model=model, successors=succ)
 

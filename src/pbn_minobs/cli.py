@@ -40,9 +40,18 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_RESOURCE = 4
 
-# Entry count from which _fmt_pairs lays a listing out as one byte matrix;
+# Entry count from which _fmt_pairs writes a listing from the digit-word table;
 # below it, one str.format call per entry is faster.
 BYTE_MATRIX_MIN = 200
+
+# Entries per block of a long listing: memory grows with the block, not with
+# the listing.  On perfbench's pairspace_reach (n = 7-9) the peak resident set
+# read 48.9 MB with 2^14, 50.8 MB with 2^15 and 51.0 MB with 2^16 entries
+# (2-core VM, numpy 2.4), at the same speed.
+LISTING_BLOCK = 1 << 14
+
+# The literal text after each of an entry's three numbers, as table words.
+PAIR_LITERALS = np.frombuffer(b"=(\0\0,\0\0\0), \0", dtype=np.uint32)
 
 # One pair-listing entry as ``json.dumps(..., indent=2)`` lays it out at depth
 # 0, with ``str.format`` fields for the index and the pair.
@@ -160,29 +169,53 @@ def write_json(doc, stream) -> None:
     stream.write("\n")
 
 
-def _fmt_pairs(z: np.ndarray, i: np.ndarray, j: np.ndarray) -> str:
-    """``{z=(i,j), ...}`` for the folded arrays of one pair listing.
+@cache
+def _digit_words() -> np.ndarray:
+    """The strings of 0..9999 as ``uint32`` words of four ASCII bytes in order.
 
-    A listing of at least ``BYTE_MATRIX_MIN`` entries is laid out as one
-    ``uint8`` matrix with a column per entry and a row per digit place or
-    literal byte.  Places above a number's leading digit hold 0 and are
-    dropped when the columns are read out in order.
+    Word k is k with its leading zeros as NUL bytes (so 0 is all NUL); word
+    10^4 + k is k zero-padded to four digits.
+    """
+    k = np.arange(10**4)
+    chars = np.empty((2, 10**4, 4), dtype=np.uint8)
+    for place in range(4):
+        scale = 10 ** (3 - place)
+        chars[:, :, place] = k // scale % 10 + 48
+        chars[0, k < scale, place] = 0
+    return chars.reshape(-1, 4).view(np.uint32).ravel()
+
+
+def _fmt_pairs(z: np.ndarray, i: np.ndarray, j: np.ndarray) -> str:
+    """``{z=(i,j), ...}`` for the folded arrays of one pair listing (positive values).
+
+    A listing of at least ``BYTE_MATRIX_MIN`` entries is written as rows of
+    ``uint32`` words, one row per entry: each number in 4-digit chunks from
+    :func:`_digit_words`, zero-padded below its leading chunk, with the
+    literal words between the numbers.  Dropping the NUL bytes leaves the
+    text.  Rows go in blocks of ``LISTING_BLOCK`` entries.
     """
     if z.size < BYTE_MATRIX_MIN:
         return "{" + ", ".join(map("{}=({},{})".format, z.tolist(), i.tolist(), j.tolist())) + "}"
-    fields = ((z, b"=("), (i, b","), (j, b"), "))
-    widths = [len(str(values.max())) for values, _ in fields]
-    height = sum(widths) + sum(len(literal) for _, literal in fields)
-    chars = np.empty((height, z.size), dtype=np.uint8)
-    row = 0
-    for (values, literal), width in zip(fields, widths):
-        for place in (10**k for k in reversed(range(width))):
-            chars[row] = np.where(values >= place, values // place % 10 + 48, 0)
-            row += 1
-        chars[row : row + len(literal)] = np.frombuffer(literal, dtype=np.uint8)[:, None]
-        row += len(literal)
-    chars = chars.T
-    return "{" + chars[chars != 0][:-2].tobytes().decode("ascii") + "}"
+    words = _digit_words()
+    fields = (z, i, j)
+    chunks = [-(-len(str(values.max())) // 4) for values in fields]
+    parts = ["{"]
+    for start in range(0, z.size, LISTING_BLOCK):
+        rows = np.empty((min(LISTING_BLOCK, z.size - start), sum(chunks) + 3), dtype=np.uint32)
+        col = 0
+        for values, count, literal in zip(fields, chunks, PAIR_LITERALS):
+            rest = values[start : start + LISTING_BLOCK]
+            for place in range(count - 1, 0, -1):  # the chunks below the leading one
+                higher = rest // 10**4
+                # the zero-padded word where a higher chunk is nonzero
+                rows[:, col + place] = words[rest - higher * 10**4 + (higher > 0) * 10**4]
+                rest = higher
+            rows[:, col] = words[rest]
+            rows[:, col + count] = literal
+            col += count + 1
+        parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
+    parts[-1] = parts[-1][:-2] + "}"
+    return "".join(parts)
 
 
 def _summary_lines(model: PbnModel, analysis: AnalysisReport, plan: SensorPlan | None) -> list[str]:

@@ -190,13 +190,17 @@ def canonicalize(s: StateSet, n: int) -> StateSet:
 def folded_pairs(s: StateSet, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """int64 arrays (index, i, j) of every canonical i <= j representative, in index order."""
     grid = _as_square(s, n)
-    return folded_indices(np.flatnonzero(grid | grid.T), n)
+    k = np.arange(1 << n)
+    upper = grid | grid.T
+    upper &= k[:, None] <= k  # the i <= j half, masked in place: no filtered copies
+    z = np.flatnonzero(upper)
+    return z + 1, (z >> n) + 1, (z & ((1 << n) - 1)) + 1
 
 
 def folded_indices(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`folded_pairs` of a mirror-closed set given by its ascending 0-based indices."""
-    first, second = np.divmod(z, 1 << n)
-    keep = first <= second
+    first, second = z >> n, z & ((1 << n) - 1)
+    keep = np.flatnonzero(first <= second)  # an index array: faster than a bool mask
     return z[keep] + 1, first[keep] + 1, second[keep] + 1
 
 

@@ -42,26 +42,51 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
 
     Layer k holds the states arriving in exactly k steps once earlier layers
     and the target itself count as arrived; iteration stops at the first
-    empty layer.  Only the states still pending are tested each step.
+    empty layer.
+
+    Each pending state watches one successor, as SAT solvers watch literals:
+    first its row-0 successor, later the first successor in row order that
+    had not arrived when the state was last tested.  A layer reads each
+    watch once and tests all k successors only of the states whose watch has
+    arrived.  A failed test moves the watch to a later row, so a state is
+    fully tested at most k times.  Arrived states watch a sentinel cell that
+    never arrives and are dropped from the pending list once they make up
+    half of it.
     """
     if target.universe != aug.pair_count:
         raise ValueError("state sets must live in the augmented pair space")
-    arrived = target.bits.copy()
-    pending = np.flatnonzero(~arrived)
+    sentinel = aug.pair_count
+    arrived = np.zeros(sentinel + 1, dtype=bool)
+    arrived[:sentinel] = target.bits
+    pending = np.flatnonzero(~target.bits)
+    watch = aug.successors[0][pending]
+    gone = 0  # pending states that have arrived
     layers: list[np.ndarray] = []
-    first, *rest = aug.successors
+    # Subsets are taken through index arrays: numpy's boolean-mask selection
+    # is several times slower on masks with a random pattern.
     for _ in range(pending.size):  # a layer takes at least one pending state
-        hit = arrived[first[pending]]
-        for row in rest:
-            hit &= arrived[row[pending]]
-        if not hit.any():
+        ready = np.flatnonzero(arrived[watch])  # positions in ``pending``
+        if not ready.size:
             break
-        layer = pending[hit]
+        layer = pending[ready]
+        succ = aug.successors.take(layer, axis=1)
+        inside = arrived[succ]
+        # The first successor not yet arrived (row 0 where all have: those pass).
+        watch[ready] = succ[inside.argmin(axis=0), np.arange(layer.size)]
+        keep = np.flatnonzero(inside.all(axis=0))
+        if not keep.size:
+            break
+        ready, layer = ready[keep], layer[keep]
+        watch[ready] = sentinel
         arrived[layer] = True
-        pending = pending[~hit]
         layers.append(layer)
-    arrived &= ~target.bits
-    return ReachResult(layers=tuple(layers), union=StateSet._own(arrived), steps=len(layers))
+        gone += layer.size
+        if 2 * gone >= pending.size:
+            keep = np.flatnonzero(watch != sentinel)
+            pending, watch, gone = pending[keep], watch[keep], 0
+    union = arrived[:sentinel]
+    union &= ~target.bits
+    return ReachResult(layers=tuple(layers), union=StateSet._own(union), steps=len(layers))
 
 
 def robust_reach_oracle(target: StateSet, model: PbnModel, depth_cap: int) -> StateSet:

@@ -199,6 +199,7 @@ def test_successors_are_the_positive_probability_pair_maps():
         model = random_model(rng)
         aug = build_augmented(model)
         assert aug.successors.shape == (len(model.active), model.state_count**2)
+        assert aug.successors.dtype == np.int64
         assert not aug.successors.flags.writeable
         for row, v in enumerate(model.active):
             assert np.array_equal(aug.successors[row], pair_map(model.transitions[v]).col_index - 1)

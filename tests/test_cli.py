@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from pbn_minobs.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VALIDATION,
+    LISTING_BLOCK,
     build_report,
     main,
 )
@@ -436,10 +438,37 @@ def test_pair_formatter_matches_plain_join(monkeypatch, shortest):
     ]
     for size in (BYTE_MATRIX_MIN - 1, BYTE_MATRIX_MIN, BYTE_MATRIX_MIN + 1):
         listings.append(tuple(np.sort(rng.integers(1, 20_000, size)) for _ in range(3)))
+    # Digit-chunk edges, each in every field and next to every other edge.
+    chunk_edges = np.array([1, 9999, 10**4, 10**4 + 1, 10**8 - 1, 10**8, 4**12])
+    for shift in range(chunk_edges.size):
+        listings.append((chunk_edges, np.roll(chunk_edges, shift), np.roll(chunk_edges, -shift)))
+    mixed = rng.choice(chunk_edges, (3, 3 * BYTE_MATRIX_MIN))
+    listings.append((mixed[0], mixed[1], mixed[2]))
+    for size in (LISTING_BLOCK, 2 * LISTING_BLOCK + 1):  # one and three write blocks
+        listings.append((np.sort(rng.integers(1, 4**12, size)),
+                         rng.integers(1, 20_000, size), rng.integers(1, 2**12 + 1, size)))
     for z, i, j in listings:
         assert cli._fmt_pairs(z, i, j) == _plain_fmt(z, i, j)
     nothing = np.array([], dtype=np.int64)
     assert cli._fmt_pairs(nothing, nothing, nothing) == "{}"
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_pair_formatter_memory_stays_within_four_times_its_text(n):
+    # 10^5 entries with the index and state ranges of an n-variable model.
+    rng = np.random.default_rng(18)
+    size = 1 << n
+    count = 100_000
+    z = np.sort(rng.choice(size * size, count, replace=False)) + 1
+    i, j = rng.integers(1, size + 1, (2, count))
+    cli._fmt_pairs(z[:BYTE_MATRIX_MIN], i[:BYTE_MATRIX_MIN], j[:BYTE_MATRIX_MIN])  # tables built
+    tracemalloc.start()
+    try:
+        text = cli._fmt_pairs(z, i, j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
 
 
 CLI_INTEGERS = st.one_of(st.integers(-2, 70), st.sampled_from([2**63, 10**30]))

@@ -23,8 +23,9 @@ DATA = Path(__file__).resolve().parent / "data"
 # Model name -> an output-equal pair for the simulate command.
 CASES = {"apoptosis": "1,4", "family-n4-seed13": "2,4", "zero-probs-n4": "7,11"}
 
-# n = 6 models whose reach listings run past cli.BYTE_MATRIX_MIN entries.
-REACH_CASES = ("family-n6-seed1",)
+# Models whose reach listings run past cli.BYTE_MATRIX_MIN entries; at n = 7
+# the pair indices run past 10^4, the first 4-digit chunk boundary.
+REACH_CASES = ("family-n6-seed1", "family-n7-seed1")
 
 TIMING = re.compile(r'("(?:parse|analysis|sensors|total)_s": )[^,\n]+')
 

@@ -172,6 +172,23 @@ def _reference_layers(target, aug):
         arrived = arrived | layer
 
 
+def _check_layers(target, aug):
+    """Assert that ``robust_reach`` gives the reference layers; return its result."""
+    result = robust_reach(target, aug)
+    expected = _reference_layers(target, aug)
+    assert result.steps == len(result.layers) == len(expected)
+    seen = target.bits.copy()
+    for layer, ref in zip(result.layers, expected):
+        assert layer.dtype == np.int64
+        assert np.array_equal(layer, ref)
+        assert layer.size and (np.diff(layer) > 0).all()
+        assert not seen[layer].any()
+        seen[layer] = True
+    assert sum(layer.size for layer in result.layers) == len(result.union)
+    assert result.union == StateSet(aug.pair_count, seen) - target
+    return result
+
+
 def test_layers_match_one_step_sweeps_on_random_models():
     rng = np.random.default_rng(44)
     layered = 0
@@ -185,20 +202,64 @@ def test_layers_match_one_step_sweeps_on_random_models():
             StateSet.from_indices(pairs, raw),  # seldom mirror-closed
         ]
         for target in targets:
-            result = robust_reach(target, aug)
-            expected = _reference_layers(target, aug)
-            assert result.steps == len(result.layers) == len(expected)
-            seen = target.bits.copy()
-            for layer, ref in zip(result.layers, expected):
-                assert layer.dtype == np.int64
-                assert np.array_equal(layer, ref)
-                assert layer.size and (np.diff(layer) > 0).all()
-                assert not seen[layer].any()
-                seen[layer] = True
-            assert sum(layer.size for layer in result.layers) == len(result.union)
-            assert result.union == StateSet(pairs, seen) - target
-            layered += bool(result.steps)
+            layered += bool(_check_layers(target, aug).steps)
     assert layered >= 200
+
+
+def test_empty_and_full_targets_have_no_layers():
+    rng = np.random.default_rng(45)
+    for _ in range(30):
+        aug = build_augmented(random_model(rng))
+        for target in (StateSet.empty(aug.pair_count), StateSet.full(aug.pair_count)):
+            result = _check_layers(target, aug)
+            assert result.steps == 0 and not result.union
+
+
+def _with_probs(model, probs):
+    return PbnModel(
+        n=model.n, q=model.q, transitions=model.transitions, output=model.output, probs=probs
+    )
+
+
+def test_layers_with_one_positive_probability_row():
+    # k = 1: every state has one successor, so the watch is the whole test.
+    rng = np.random.default_rng(46)
+    layered = 0
+    for t in range(60):
+        model = random_model(rng, n=int(rng.integers(2, 6)), m=int(rng.integers(1, 4)))
+        probs = np.zeros(model.m)
+        probs[t % model.m] = 1.0
+        aug = build_augmented(_with_probs(model, tuple(probs.tolist())))
+        assert aug.successors.shape[0] == 1
+        pairs = aug.pair_count
+        raw = rng.integers(1, pairs + 1, size=int(rng.integers(1, pairs // 4 + 2)))
+        for target in (mirror_close(partition_states(model).s2, model.n),
+                       StateSet.from_indices(pairs, raw)):
+            layered += bool(_check_layers(target, aug).steps)
+    assert layered >= 50
+
+
+def test_layers_with_zero_probability_subnetworks():
+    # Zero-probability subnetworks have no successor row, so they never hold a state back.
+    rng = np.random.default_rng(47)
+    layered = 0
+    for _ in range(60):
+        model = random_model(rng, n=int(rng.integers(2, 6)), m=4, allow_zero_probs=False)
+        live = rng.random(4) < 0.5
+        live[int(rng.integers(0, 4))] = True
+        weights = np.where(live, rng.random(4) + 0.1, 0.0)
+        zeroed = _with_probs(model, tuple((weights / weights.sum()).tolist()))
+        aug = build_augmented(zeroed)
+        assert aug.successors.shape[0] == live.sum()
+        pairs = aug.pair_count
+        raw = rng.integers(1, pairs + 1, size=int(rng.integers(1, pairs // 4 + 2)))
+        for target in (mirror_close(partition_states(model).s2, model.n),
+                       StateSet.from_indices(pairs, raw)):
+            layered += bool(_check_layers(target, aug).steps)
+            assert robust_reach(target, aug).union == robust_reach_oracle(
+                target, zeroed, depth_cap=pairs
+            )
+    assert layered >= 50
 
 
 def test_reach_rejects_target_from_another_universe(apoptosis):
