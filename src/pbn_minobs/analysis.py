@@ -37,7 +37,6 @@ from .model import PbnModel
 from .partition import (
     Partition,
     StateSet,
-    canonicalize,
     diagonal_set,
     mirror_close,
     partition_states,
@@ -61,7 +60,6 @@ class AnalysisReport:
     system: AugmentedSystem = field(compare=False, repr=False)
     partition: Partition
     observable: bool
-    witness: StateSet
     distinguishable: StateSet
     indistinguishable: StateSet
     one_step_diagonal: StateSet
@@ -327,7 +325,9 @@ def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> An
         core_reach = robust_reach(mirror_close(core_target, n), aug).union
         residual = indist - (core | core_reach)
         if residual:
-            invariant = canonicalize(maximum_invariant_set(mirror_close(residual, n), aug), n)
+            # The maximum invariant set of a mirror-closed constraint is mirror-closed,
+            # and its i < j half lies in residual: the AND folds it.
+            invariant = residual & maximum_invariant_set(mirror_close(residual, n), aug)
             anchors = minimal_anchor_sets(invariant, aug, cap=subset_cap)
             # With no invariant set, the widened target is core_reach's own target.
             widened = (
@@ -347,7 +347,6 @@ def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> An
         system=aug,
         partition=part,
         observable=not indist,
-        witness=indist,
         distinguishable=distinguishable,
         indistinguishable=indist,
         one_step_diagonal=diag_hitters,

@@ -59,18 +59,8 @@ class StochasticMatrix:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("StochasticMatrix is immutable")
 
-    @classmethod
-    def from_weighted_maps(cls, maps, weights) -> "StochasticMatrix":
-        """Probability-weighted sum of logical matrices with a common shape."""
-        mats = list(maps)
-        if not mats:
-            raise ValueError("at least one map required")
-        shape = (mats[0].rows, mats[0].cols)
-        if any((m.rows, m.cols) != shape for m in mats):
-            raise ValueError("maps must share one shape")
-        return cls(shape[0], np.stack([m.col_index - 1 for m in mats]), weights)
-
     def column_dict(self, j: int) -> dict[int, float]:
+        """Column j's nonzero entries as {row: value}, rows ascending; its keys are the support."""
         if not 1 <= j <= self.cols:
             raise ValueError(f"column {j} out of range [1, {self.cols}]")
         acc: dict[int, float] = {}
@@ -78,16 +68,10 @@ class StochasticMatrix:
             acc[row + 1] = acc.get(row + 1, 0.0) + w
         return dict(sorted(acc.items()))
 
-    def column_support(self, j: int) -> tuple[int, ...]:
-        return tuple(self.column_dict(j))
-
     def entry(self, i: int, j: int) -> float:
         if not 1 <= i <= self.rows:
             raise ValueError(f"row {i} out of range [1, {self.rows}]")
         return self.column_dict(j).get(i, 0.0)
-
-    def diagonal_entry(self, j: int) -> float:
-        return self.entry(j, j)
 
     def dense(self) -> np.ndarray:
         check_size(self.rows, self.cols)
@@ -166,4 +150,5 @@ def build_augmented(model: PbnModel) -> AugmentedSystem:
 
 def expected_transition(model: PbnModel) -> StochasticMatrix:
     """One-step state transition probabilities: the weighted sum of the subnetworks."""
-    return StochasticMatrix.from_weighted_maps(model.transitions, model.probs)
+    maps = np.stack([t.col_index - 1 for t in model.transitions])
+    return StochasticMatrix(model.state_count, maps, model.probs)

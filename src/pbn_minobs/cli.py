@@ -64,7 +64,6 @@ def build_report(
     analysis: AnalysisReport,
     plan: SensorPlan | None,
     timing: dict[str, float],
-    subset_cap: int,
 ) -> dict:
     """The report as ``write_json`` reads it: a ``StateSet`` stands for its pair listing."""
     doc = {
@@ -77,7 +76,7 @@ def build_report(
         },
         "config": {
             "dimension_cap": dimension_cap(),
-            "max_subset": subset_cap,
+            "max_subset": analysis.subset_cap,
         },
         "partition": {
             "s0": analysis.partition.s0,
@@ -86,7 +85,7 @@ def build_report(
         },
         "analysis": {
             "observable": analysis.observable,
-            "witness": analysis.witness,
+            "witness": analysis.indistinguishable,
             "already_distinguishable": analysis.distinguishable,
             "indistinguishable": analysis.indistinguishable,
             "one_step_diagonal": analysis.one_step_diagonal,
@@ -227,7 +226,10 @@ def _summary_lines(model: PbnModel, analysis: AnalysisReport, plan: SensorPlan |
         f"observable: {'yes' if analysis.observable else 'no'}",
     ]
     if not analysis.observable:
-        lines.append(f"indistinguishable pairs: {_fmt_pairs(*folded_pairs(analysis.witness, n))}")
+        lines.append(
+            "indistinguishable pairs: "
+            f"{_fmt_pairs(*folded_pairs(analysis.indistinguishable, n))}"
+        )
         lines.append(
             "must separate directly (diagonal hitters + fixed points): "
             f"{_fmt_pairs(*folded_pairs(analysis.core, n))}"
@@ -334,7 +336,7 @@ def cmd_analyze(args) -> int:
     }
     if args.dot:
         write_s1_graph(args.dot, analysis.system, analysis.partition)
-    report = build_report(args.path, model, analysis, plan, timing, args.max_subset)
+    report = build_report(args.path, model, analysis, plan, timing)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as stream:
             write_json(report, stream)

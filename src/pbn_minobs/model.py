@@ -357,6 +357,9 @@ _SECTION_RE = re.compile(r"\[\s*(net\s+(\d+)|output)\s*\]$")
 _RULE_RE = re.compile(r"x(\d+)'\s*=\s*(?=\S)")
 _OUTPUT_RULE_RE = re.compile(r"y(\d+)\s*=\s*(?=\S)")
 _LITERAL_RE = re.compile(r"([LH])\s*=\s*delta(\d+)\s*\[([^\]]*)\]$")
+# Parsing and tabulating a rule recurse once per nesting level, so a rule
+# nested past the interpreter's recursion limit is refused with its line.
+_TOO_DEEP = "rule is nested too deeply to evaluate"
 
 
 class _Block:
@@ -471,7 +474,12 @@ def parse_model(text: str) -> PbnModel:
             raise ModelFormatError(f"duplicate rule for {name}", line=line_no)
         expr_text = stripped[m.end():]
         col_base = indent + m.end() + 1
-        current.rules[target] = parse_bool_expr(expr_text, int(n), line=line_no, col_base=col_base)
+        try:
+            current.rules[target] = parse_bool_expr(
+                expr_text, int(n), line=line_no, col_base=col_base
+            )
+        except RecursionError:
+            raise ModelFormatError(_TOO_DEEP, line=line_no) from None
         current.rule_lines[target] = line_no
 
     for key in ("states", "outputs", "subnetworks", "p"):
@@ -554,7 +562,12 @@ def _finish_block(
         raise ModelFormatError(
             f"{label} is missing a rule for {name}{missing}", line=block.line
         )
-    per_node = [structure_matrix(block.rules[i], n) for i in range(1, expected + 1)]
+    per_node = []
+    for i in range(1, expected + 1):
+        try:
+            per_node.append(structure_matrix(block.rules[i], n))
+        except RecursionError:
+            raise ModelFormatError(_TOO_DEEP, line=block.rule_lines[i]) from None
     return assemble_network(per_node)
 
 

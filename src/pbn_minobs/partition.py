@@ -70,15 +70,6 @@ class StateSet:
         bits[idx - 1] = True
         return cls(universe, bits)
 
-    @classmethod
-    def from_bool_array(cls, arr) -> "StateSet":
-        flat = np.asarray(arr, dtype=bool).reshape(-1)
-        return cls(flat.size, flat)
-
-    def to_bool_array(self) -> np.ndarray:
-        """The stored read-only membership array."""
-        return self.bits
-
     def _check(self, other: "StateSet") -> None:
         if not isinstance(other, StateSet):
             raise TypeError(f"expected StateSet, got {type(other).__name__}")
@@ -179,12 +170,6 @@ def mirror_close(s: StateSet, n: int) -> StateSet:
     """Union of the set with its mirror image."""
     grid = _as_square(s, n)
     return StateSet._own((grid | grid.T).reshape(-1))
-
-
-def canonicalize(s: StateSet, n: int) -> StateSet:
-    """Fold every pair to its i <= j representative."""
-    grid = _as_square(s, n)
-    return StateSet._own(np.triu(grid | grid.T).reshape(-1))
 
 
 def folded_pairs(s: StateSet, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -89,20 +89,19 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
     return ReachResult(layers=tuple(layers), union=StateSet._own(union), steps=len(layers))
 
 
-def robust_reach_oracle(target: StateSet, model: PbnModel, depth_cap: int) -> StateSet:
+def robust_reach_oracle(target: StateSet, model: PbnModel) -> StateSet:
     """Slow reference for :func:`robust_reach`, by a different route.
 
     Shrinks the complement of the target to the region from which some
     switching sequence avoids the target forever; whatever cannot avoid it
-    robustly reaches it.  Works on plain Python sets with successors looked
-    up straight from the model's transition matrices.
+    robustly reaches it; the avoid set shrinks each round until it is stable.
+    Works on plain Python sets with successors looked up straight from the
+    model's transition matrices.
     """
     size = model.state_count
     pair_count = size * size
     if target.universe != pair_count:
         raise ValueError("target must live in the pair space of the model")
-    if depth_cap < pair_count:
-        raise ValueError(f"depth_cap {depth_cap} is below the pair count {pair_count}")
 
     active_cols = [model.transitions[v].col_index for v in model.active]
 
@@ -112,7 +111,7 @@ def robust_reach_oracle(target: StateSet, model: PbnModel, depth_cap: int) -> St
 
     target_idx = set(target.indices())
     avoid = {z for z in range(1, pair_count + 1) if z not in target_idx}
-    for _ in range(depth_cap):
+    while True:
         keep = {z for z in avoid if any(s in avoid for s in successors(z))}
         if keep == avoid:
             break

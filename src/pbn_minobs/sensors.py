@@ -19,7 +19,7 @@ from .analysis import AnalysisReport, distinguishable_split
 from .errors import InfeasibleCoverError
 from .model import PbnModel, Var, assignment_table, structure_matrix
 from .partition import StateSet, folded_pairs, pair_split, partition_states
-from .stp import BooleanMatrix, LogicalMatrix, khatri_rao
+from .stp import LogicalMatrix, khatri_rao
 
 
 def single_variable_output(m_idx: int, n: int) -> LogicalMatrix:
@@ -35,24 +35,34 @@ def distinguishable_under(m_idx: int, n: int) -> StateSet:
     Mirror-closed and diagonal-free by construction.
     """
     reading = single_variable_output(m_idx, n).col_index
-    return StateSet.from_bool_array((reading[:, None] != reading[None, :]).reshape(-1))
+    return StateSet(4**n, (reading[:, None] != reading[None, :]).reshape(-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthMatrix:
     """Rows are state variables, columns the target pairs in ascending order.
 
-    Bit (m, c) is set iff measuring x_m separates the pair in column c.
+    ``bits`` is a read-only copy of the given grid as an ``n`` x
+    ``len(column_states)`` bool array; entry (m-1, c-1) is set iff measuring
+    x_m separates the pair in column c.
     """
 
     n: int
     column_states: tuple[int, ...]
-    bits: BooleanMatrix
+    bits: np.ndarray
+
+    def __post_init__(self):
+        grid = np.array(self.bits, dtype=bool, order="C")
+        expected = (self.n, len(self.column_states))
+        if grid.shape != expected:
+            raise ValueError(f"truth matrix grid has shape {grid.shape}, expected {expected}")
+        grid.setflags(write=False)
+        object.__setattr__(self, "bits", grid)
 
     def column(self, c: int) -> np.ndarray:
         if not 1 <= c <= len(self.column_states):
             raise ValueError(f"column {c} out of range")
-        return self.bits.bits[:, c - 1].copy()
+        return self.bits[:, c - 1].copy()
 
 
 def truth_matrix(target: StateSet, n: int) -> TruthMatrix:
@@ -72,7 +82,7 @@ def truth_matrix(target: StateSet, n: int) -> TruthMatrix:
         )
     table = assignment_table(n)
     grid = (table[first - 1] != table[second - 1]).T
-    return TruthMatrix(n=n, column_states=tuple(states.tolist()), bits=BooleanMatrix(grid))
+    return TruthMatrix(n=n, column_states=tuple(states.tolist()), bits=grid)
 
 
 def min_cover(phi: TruthMatrix) -> tuple[tuple[int, ...], ...]:
@@ -82,7 +92,9 @@ def min_cover(phi: TruthMatrix) -> tuple[tuple[int, ...], ...]:
     uncoverable column raises with the offending pair named.
     """
     width = len(phi.column_states)
-    masks = phi.bits.row_masks()
+    # Row m as an integer whose bit c is set iff entry (m, c) is.
+    packed = np.packbits(phi.bits, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
     full = (1 << width) - 1
     everything = reduce(lambda a, b: a | b, masks, 0)
     if everything != full:
@@ -125,16 +137,15 @@ class SensorPlan:
 
     ``optima`` pairs a candidate position (0-based into ``per_candidate``)
     with a measurement set of globally minimum size; ``suggested`` is the
-    lexicographically smallest of those.  ``extended_output`` stacks the
-    original output with the suggested measurements, and
-    ``extended_observable`` records the re-verification under it.
+    lexicographically smallest of those.  ``extended_observable`` records
+    the re-verification under the original output stacked with the
+    suggested measurements.
     """
 
     per_candidate: tuple[CandidateCover, ...]
     min_size: int
     optima: tuple[tuple[int, tuple[int, ...]], ...]
     suggested: tuple[int, tuple[int, ...]]
-    extended_output: LogicalMatrix
     extended_observable: bool
 
 
@@ -183,6 +194,5 @@ def global_min_sensors(report: AnalysisReport, model: PbnModel) -> SensorPlan:
         min_size=min_size,
         optima=optima,
         suggested=suggested,
-        extended_output=extended.output,
         extended_observable=not witness,
     )

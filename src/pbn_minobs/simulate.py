@@ -322,7 +322,7 @@ def pairs_distinguishable_within(model: PbnModel, horizon: int) -> StateSet:
         if np.array_equal(grown, current):
             break
         current = grown
-    return StateSet.from_bool_array(current)
+    return StateSet(current.size, current)
 
 
 def exhaustive_distinguishability(
@@ -330,13 +330,12 @@ def exhaustive_distinguishability(
     x0: int,
     x0_other: int,
     horizon: int,
-    budget: int = DEFAULT_STEP_BUDGET,
 ) -> bool:
     """Whether every length-``horizon`` switching sequence separates the outputs.
 
     Only positive-probability subnetworks participate.  The check is memoized
     over pair states: at most min(horizon, 4^n) sweeps of every active pair
-    map, and that step count must fit the budget.
+    map, and that step count must fit the step budget.
     """
     for x in (x0, x0_other):
         if not 1 <= x <= model.state_count:
@@ -346,10 +345,10 @@ def exhaustive_distinguishability(
     k = len(model.active)
     pair_count = model.state_count**2
     cost = min(max(horizon, 1), pair_count) * pair_count * k
-    if cost > budget:
+    if cost > DEFAULT_STEP_BUDGET:
         raise ResourceLimitError(
             f"exhaustive check needs about {cost} pair-state steps, "
-            f"over the budget {budget}; use the reachability analysis instead"
+            f"over the budget {DEFAULT_STEP_BUDGET}; use the reachability analysis instead"
         )
     separated = pairs_distinguishable_within(model, horizon)
     return pair_index(x0, x0_other, model.n) in separated

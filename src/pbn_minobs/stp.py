@@ -126,40 +126,6 @@ class LogicalMatrix:
         return f"delta{self.rows}[{body}]"
 
 
-class BooleanMatrix:
-    """Dense 0/1 matrix stored as a row-major bool array."""
-
-    __slots__ = ("rows", "cols", "bits")
-
-    def __init__(self, bits) -> None:
-        arr = np.ascontiguousarray(np.asarray(bits, dtype=bool))
-        if arr.ndim != 2:
-            raise ValueError("bits must be two-dimensional")
-        object.__setattr__(self, "rows", arr.shape[0])
-        object.__setattr__(self, "cols", arr.shape[1])
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("BooleanMatrix is immutable")
-
-    def row_masks(self) -> list[int]:
-        """Each row as an integer bitmask, bit c set iff entry (row, c+1) is 1."""
-        packed = np.packbits(self.bits, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BooleanMatrix):
-            return NotImplemented
-        return bool(np.array_equal(self.bits, other.bits))
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.bits.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"BooleanMatrix({self.rows}x{self.cols})"
-
-
 def _as_2d(a) -> np.ndarray:
     if isinstance(a, LogicalMatrix):
         return a.dense()

@@ -64,14 +64,14 @@ def test_one_step_to_diagonal(apoptosis):
     assert one_step_to_diagonal(witness, aug).indices() == N1_EXPECTED
     empty = StateSet.empty(aug.pair_count)
     assert one_step_to_diagonal(empty, aug) == empty
-    assert 28 in aug.q_matrix.column_support(31)  # the diagonal hit behind state 31
+    assert 28 in aug.q_matrix.column_dict(31)  # the diagonal hit behind state 31
 
 
 def test_positive_probability_fixed_points(apoptosis):
     aug = build_augmented(apoptosis)
     _, witness = is_observable(apoptosis)
     assert positive_prob_fixed_points(witness, aug).indices() == P_EXPECTED
-    assert aug.q_matrix.diagonal_entry(29) == pytest.approx(0.1, abs=1e-12)
+    assert aug.q_matrix.entry(29, 29) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_fixed_points_empty_for_fixed_point_free_dynamics():
@@ -320,7 +320,7 @@ def test_observable_model_short_circuits():
     report = minimal_targets(model)
     assert report.observable
     assert report.candidates == ()
-    assert not report.witness
+    assert not report.indistinguishable
 
 
 def test_anchor_lists_are_antichains():
@@ -351,11 +351,32 @@ def test_invariant_set_matches_plain_greatest_fixpoint():
         current = {int(z) for z in raw}
         constraint = StateSet.from_indices(pairs, current)
         while True:
-            kept = {z for z in current if set(aug.q_matrix.column_support(z)) <= current}
+            kept = {z for z in current if set(aug.q_matrix.column_dict(z)) <= current}
             if kept == current:
                 break
             current = kept
         assert maximum_invariant_set(constraint, aug).indices() == tuple(sorted(current))
+
+
+def test_invariant_set_is_the_upper_half_of_the_mirror_closed_fixpoint():
+    # The maximum invariant set of the residual's mirror closure is
+    # mirror-closed and holds no diagonal pair, so its i < j half is the report's set.
+    rng = np.random.default_rng(57)
+    nonempty = zeroed = 0
+    for _ in range(400):
+        model = random_model(rng, n=int(rng.integers(1, 6)))
+        try:
+            report = minimal_targets(model, subset_cap=14)
+        except ResourceLimitError:
+            continue
+        size, aug = model.state_count, report.system
+        full = maximum_invariant_set(mirror_close(report.residual, model.n), aug)
+        upper = np.triu(full.bits.reshape(size, size)).reshape(-1)
+        assert report.invariant_set == StateSet(aug.pair_count, upper)
+        assert mirror_close(report.invariant_set, model.n) == full
+        nonempty += bool(report.invariant_set)
+        zeroed += len(model.active) < model.m
+    assert nonempty >= 40 and zeroed >= 40, (nonempty, zeroed)
 
 
 def test_empty_invariant_set_reuses_core_reach(monkeypatch):

@@ -373,13 +373,13 @@ def _check_analyze(capsys, path, model):
         assert (code, out, err) == (EXIT_RESOURCE, "", f"resource limit: {exc}\n")
         return "refused"
     plan = None if analysis.observable else global_min_sensors(analysis, model)
-    doc = build_report(str(path), model, analysis, plan, json.loads(out)["timing"], 14)
+    doc = build_report(str(path), model, analysis, plan, json.loads(out)["timing"])
     assert code == EXIT_OK
     assert out == json.dumps(_reference_doc(doc, n), indent=2) + "\n"
     if analysis.observable:
         return "observable"
     listed = [
-        f"indistinguishable pairs: {_reference_fmt(analysis.witness, n)}",
+        f"indistinguishable pairs: {_reference_fmt(analysis.indistinguishable, n)}",
         "must separate directly (diagonal hitters + fixed points): "
         f"{_reference_fmt(analysis.core, n)}",
     ] + [f"candidate {pos}: {_reference_fmt(c, n)}" for pos, c in enumerate(analysis.candidates)]

@@ -138,7 +138,7 @@ def test_stochastic_matrix_guards(apoptosis):
     with pytest.raises(ValueError):
         q.entry(65, 1)
     with pytest.raises(ValueError):
-        aug.q_matrix.column_support(0)
+        q.column_dict(65)
     assert q.entry(29, 29) == pytest.approx(0.1, abs=1e-12)
     assert q.entry(1, 29) == 0.0
 

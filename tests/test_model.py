@@ -17,6 +17,7 @@ from pbn_minobs import (
     render_model,
     structure_matrix,
 )
+from pbn_minobs.cli import EXIT_VALIDATION, main
 from pbn_minobs.model import Var
 
 from conftest import (
@@ -123,6 +124,54 @@ def test_expression_precedence():
     assert str(iff_loosest) == "(x1 <-> (x2 -> x3))"
     not_tightest = parse_bool_expr("!x1 & x2 ^ x3", n)
     assert str(not_tightest) == "((!x1 & x2) ^ x3)"
+
+
+def one_rule_model(net_rule: str, output_rule: str = "x1") -> str:
+    """A one-node model whose net rule is on line 6 and output rule on line 8."""
+    return (
+        "states: 1\noutputs: 1\nsubnetworks: 1\np: 1\n"
+        f"[net 1]\nx1' = {net_rule}\n[output]\ny1 = {output_rule}\n"
+    )
+
+
+# 140 nested parentheses overflow the parser, 1000 '!' too, and a 1000-term
+# chain parses but overflows when its table is evaluated.
+DEEP_RULES = {
+    "parentheses": "(" * 140 + "x1" + ")" * 140,
+    "negations": "!" * 1000 + "x1",
+    "chain": " & ".join(["x1"] * 1000),
+}
+
+
+@pytest.mark.parametrize("rule", DEEP_RULES.values(), ids=DEEP_RULES.keys())
+def test_rule_nested_too_deeply_is_refused_with_its_line(rule, tmp_path, capsys):
+    for text, line in ((one_rule_model(rule), 6), (one_rule_model("x1", rule), 8)):
+        with pytest.raises(ModelFormatError, match="nested too deeply") as err:
+            parse_model(text)
+        assert err.value.line == line
+    path = tmp_path / "deep.pbn"
+    path.write_text(one_rule_model(rule))
+    for argv in (
+        ["validate", str(path)],
+        ["analyze", str(path)],
+        ["reach", str(path), "--target", "S2"],
+        ["simulate", str(path), "--pair", "1,2"],
+    ):
+        assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: line 6: "), (argv, err)
+
+
+def test_deep_rules_below_the_limit_keep_their_matrices():
+    for rule, plain in (
+        ("(" * 60 + "!x1" + ")" * 60, "!x1"),
+        (" & ".join(["x1"] * 300), "x1"),
+        ("!" * 301 + "x1", "!x1"),
+    ):
+        model = parse_model(one_rule_model(rule, rule))
+        expected = parse_model(one_rule_model(plain, plain))
+        assert model.transitions == expected.transitions
+        assert model.output == expected.output
 
 
 def test_structure_matrix_examples():

@@ -3,7 +3,6 @@ import pytest
 
 from pbn_minobs import (
     StateSet,
-    canonicalize,
     diagonal_set,
     kron,
     mirror_close,
@@ -12,6 +11,7 @@ from pbn_minobs import (
     pair_split,
     partition_states,
 )
+from pbn_minobs.partition import folded_pairs
 
 from conftest import S0_EXPECTED, S1_EXPECTED, S2_EXPECTED, random_model
 
@@ -41,12 +41,13 @@ def test_mirror_examples():
         assert mirror_index(z, 3) == z
 
 
-def test_mirror_close_and_canonicalize():
+def test_mirror_close_and_fold():
     s = StateSet.from_indices(64, [29, 31])
     closed = mirror_close(s, 3)
     assert closed.indices() == (29, 31, 36, 52)
-    assert canonicalize(closed, 3) == s
-    assert canonicalize(StateSet.from_indices(64, [36, 52]), 3) == s
+    for folded in (closed, StateSet.from_indices(64, [36, 52])):
+        z, i, j = folded_pairs(folded, 3)
+        assert (z.tolist(), i.tolist(), j.tolist()) == ([29, 31], [4, 4], [5, 7])
 
 
 def test_partition_invariants_on_random_outputs():
@@ -103,7 +104,7 @@ def test_state_set_algebra():
     assert len(a) == 3
     assert list(a) == [1, 3, 5]
     assert 5 in a and 2 not in a
-    assert StateSet.from_bool_array(a.to_bool_array()) == a
+    assert StateSet(a.universe, a.bits) == a
 
 
 def test_state_set_guards():
@@ -161,9 +162,8 @@ def test_state_set_matches_frozenset():
         assert (a == b) == (fa == fb)
         twin = StateSet.from_indices(universe, sorted(fa))
         assert twin == a and hash(twin) == hash(a)
-        bits = a.to_bool_array()
+        bits = a.bits
         assert bits.dtype == bool and bits.shape == (universe,)
-        assert StateSet.from_bool_array(bits) == a
         assert StateSet(universe, bits) == a
         with pytest.raises(ValueError):
             bits[0] = not bits[0]
@@ -175,6 +175,3 @@ def test_state_set_copies_its_input():
     s = StateSet(10, raw)
     raw[3] = True
     assert not s
-    t = StateSet.from_bool_array(raw)
-    raw[3] = False
-    assert t.indices() == (4,)

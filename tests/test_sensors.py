@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbn_minobs import (
-    BooleanMatrix,
     InfeasibleCoverError,
     LogicalMatrix,
     ResourceLimitError,
@@ -34,6 +33,17 @@ def reference_single_variable_output(m_idx, n):
     left = kron(np.ones((1, 1 << (m_idx - 1))), np.eye(2))
     right = kron(np.eye(1 << m_idx), np.ones((1, 1 << (n - m_idx))))
     return stp(left, right)
+
+
+def reference_row_masks(bits) -> list[int]:
+    """Each row as an integer with bit c set iff entry (row, c) is, one bit at a time."""
+    masks = []
+    for row in bits:
+        mask = 0
+        for c in np.flatnonzero(row):
+            mask |= 1 << int(c)
+        masks.append(mask)
+    return masks
 
 
 def naive_min_covers(masks, width):
@@ -100,13 +110,14 @@ def test_truth_matrix_of_core_target(apoptosis):
     target = StateSet.from_indices(64, [4, 5, 14, 24, 29, 31])
     phi = truth_matrix(target, 3)
     assert phi.column_states == (4, 5, 14, 24, 29, 31)
-    assert phi.bits.bits.astype(int).tolist() == [list(row) for row in PHI_EXPECTED]
+    assert phi.bits.astype(int).tolist() == [list(row) for row in PHI_EXPECTED]
+    assert not phi.bits.flags.writeable
 
 
 def test_truth_matrix_single_pair_differs_everywhere():
     z = pair_index(1, 8, 3)  # (1,1,1) vs (0,0,0)
     phi = truth_matrix(StateSet.from_indices(64, [z]), 3)
-    assert phi.bits.bits.all()
+    assert phi.bits.all()
 
 
 def test_truth_matrix_rejects_diagonal_and_empty():
@@ -130,7 +141,7 @@ def test_truth_matrix_mirror_invariance():
         a = truth_matrix(target, n)
         b = truth_matrix(mirrored, n)
         assert a.column_states == b.column_states
-        assert a.bits == b.bits
+        assert np.array_equal(a.bits, b.bits)
 
 
 def test_min_cover_on_core_target(apoptosis):
@@ -139,23 +150,64 @@ def test_min_cover_on_core_target(apoptosis):
     assert covers == COVERS_EXPECTED
 
 
+def test_truth_matrix_copies_the_grid_read_only():
+    grid = np.array([[True, False], [False, True]])
+    phi = TruthMatrix(n=2, column_states=(2, 3), bits=grid)
+    grid[:] = False
+    assert phi.bits.tolist() == [[True, False], [False, True]]
+    assert not phi.bits.flags.writeable
+    assert TruthMatrix(n=2, column_states=(2,), bits=[[1], [0]]).bits.dtype == np.bool_
+
+
+@pytest.mark.parametrize(
+    "n, column_states, grid",
+    [
+        (3, (2, 3), np.ones((2, 2), dtype=bool)),  # n = 3, two rows
+        (1, (2, 3), np.ones((2, 2), dtype=bool)),  # n = 1, two rows
+        (2, (2, 3, 4), np.ones((2, 2), dtype=bool)),  # three columns named, two given
+        (2, (2,), np.ones((2, 2), dtype=bool)),  # one column named, two given
+        (2, (2, 3), np.ones(2, dtype=bool)),  # not a grid
+        (2, (2, 3), np.ones((1, 2, 2), dtype=bool)),
+    ],
+)
+def test_truth_matrix_rejects_a_grid_of_the_wrong_shape(n, column_states, grid):
+    with pytest.raises(ValueError, match="truth matrix grid has shape"):
+        TruthMatrix(n=n, column_states=column_states, bits=grid)
+
+
 def test_min_cover_all_ones_row_wins_alone():
-    bits = BooleanMatrix([[1, 1, 1], [1, 0, 1], [1, 1, 1]])
+    bits = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=bool)
     phi = TruthMatrix(n=3, column_states=(2, 3, 4), bits=bits)
     assert min_cover(phi) == ((1,), (3,))
 
 
 def test_min_cover_identity_needs_every_row():
-    bits = BooleanMatrix(np.eye(4, dtype=bool))
-    phi = TruthMatrix(n=4, column_states=(2, 3, 4, 5), bits=bits)
+    phi = TruthMatrix(n=4, column_states=(2, 3, 4, 5), bits=np.eye(4, dtype=bool))
     assert min_cover(phi) == ((1, 2, 3, 4),)
 
 
 def test_min_cover_infeasible_names_the_pair():
-    bits = BooleanMatrix([[1, 0], [1, 0]])
+    bits = np.array([[1, 0], [1, 0]], dtype=bool)
     phi = TruthMatrix(n=2, column_states=(2, 3), bits=bits)
     with pytest.raises(InfeasibleCoverError, match="3"):
         min_cover(phi)
+
+
+def test_min_cover_packs_rows_past_one_machine_word():
+    # 200 columns span 25 packed bytes; every row covers them all.
+    phi = TruthMatrix(n=2, column_states=tuple(range(2, 202)), bits=np.ones((2, 200), dtype=bool))
+    assert min_cover(phi) == ((1,), (2,))
+    # Only row 2 covers the last column, the top bit of the last byte.
+    grid = np.ones((2, 200), dtype=bool)
+    grid[0, 199] = False
+    assert min_cover(TruthMatrix(n=2, column_states=tuple(range(2, 202)), bits=grid)) == ((2,),)
+    rng = np.random.default_rng(146)
+    for width in [int(w) for w in rng.integers(21, 201, 60)] + [199, 200]:
+        rows = int(rng.integers(1, 6))
+        grid = rng.random((rows, width)) < 0.9
+        grid[rng.integers(rows), ~grid.any(axis=0)] = True  # every column covered
+        phi = TruthMatrix(n=rows, column_states=tuple(range(2, 2 + width)), bits=grid)
+        assert min_cover(phi) == naive_min_covers(reference_row_masks(grid), width)
 
 
 def test_min_cover_matches_naive_enumeration():
@@ -165,8 +217,8 @@ def test_min_cover_matches_naive_enumeration():
         width = int(rng.integers(1, 21))
         grid = rng.random((rows, width)) < 0.45
         column_states = tuple(range(2, 2 + width))
-        phi = TruthMatrix(n=rows, column_states=column_states, bits=BooleanMatrix(grid))
-        masks = phi.bits.row_masks()
+        phi = TruthMatrix(n=rows, column_states=column_states, bits=grid)
+        masks = reference_row_masks(grid)
         full = (1 << width) - 1
         acc = 0
         for mask in masks:
@@ -215,7 +267,7 @@ def test_global_plan_on_bundled_model(apoptosis):
     assert plan.extended_observable
     extended = extend_output(apoptosis, plan.suggested[1])
     assert extended.q == 3
-    assert extended.output == plan.extended_output
+    assert is_observable(extended)[0] == plan.extended_observable
 
 
 def test_global_plan_rejects_observable_models():

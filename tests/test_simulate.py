@@ -93,11 +93,21 @@ def test_exhaustive_examples(apoptosis):
     assert exhaustive_distinguishability(extended, 2, 3, horizon=2)
 
 
-def test_exhaustive_budget(apoptosis):
-    # The memoized fixpoint costs 256 steps at horizon 1, though only 4 sequences exist.
-    for horizon in (64, 1):
-        with pytest.raises(ResourceLimitError, match="budget"):
-            exhaustive_distinguishability(apoptosis, 1, 4, horizon=horizon, budget=100)
+def test_exhaustive_budget():
+    # n = 11 with three positive subnetworks: the memoized fixpoint costs
+    # 4^11 x 3 > 10^7 steps at horizon 1, though only 3 sequences exist.
+    size = 1 << 11
+    model = PbnModel(
+        n=11,
+        q=1,
+        transitions=(LogicalMatrix.identity(size),) * 3,
+        output=LogicalMatrix(2, np.arange(size) % 2 + 1),
+        probs=(0.2, 0.3, 0.5),
+    )
+    for horizon, cost in ((64, 64 * 4**11 * 3), (1, 4**11 * 3)):
+        message = f"about {cost} pair-state steps, over the budget {DEFAULT_STEP_BUDGET};"
+        with pytest.raises(ResourceLimitError, match=message):
+            exhaustive_distinguishability(model, 1, 4, horizon=horizon)
 
 
 def test_exhaustive_matches_reachability_analysis():

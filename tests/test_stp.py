@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pbn_minobs import (
-    BooleanMatrix,
     LogicalMatrix,
     ModelFormatError,
     khatri_rao,
@@ -165,23 +164,3 @@ def test_logical_matrix_needs_integer_indices():
     huge = "states: 1\noutputs: 1\nsubnetworks: 1\np: 1\n[net 1]\nL = delta2[1 %d]\n" % 10**30
     with pytest.raises(ModelFormatError, match="line 6: column indices must lie in"):
         parse_model(huge + "[output]\nH = delta2[1 2]\n")
-
-
-def reference_row_masks(bits) -> list[int]:
-    masks = []
-    for row in bits:
-        mask = 0
-        for c in np.flatnonzero(row):
-            mask |= 1 << int(c)
-        masks.append(mask)
-    return masks
-
-
-def test_row_masks_match_the_per_bit_loop():
-    rng = np.random.default_rng(146)
-    widths = [int(w) for w in rng.integers(1, 201, 300)] + list(range(1, 18)) + [199, 200]
-    for width in widths:
-        rows = int(rng.integers(1, 13))
-        grid = rng.random((rows, width)) < rng.random()
-        assert BooleanMatrix(grid).row_masks() == reference_row_masks(grid)
-    assert BooleanMatrix(np.ones((2, 200), dtype=bool)).row_masks() == [(1 << 200) - 1] * 2
