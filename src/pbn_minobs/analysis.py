@@ -99,8 +99,13 @@ def one_step_to_diagonal(states: StateSet, aug: AugmentedSystem) -> StateSet:
 
 def positive_prob_fixed_points(states: StateSet, aug: AugmentedSystem) -> StateSet:
     """Members of ``states`` fixed by some positive-probability subnetwork."""
-    fixed = (aug.successors == np.arange(aug.pair_count)).any(axis=0)
-    return StateSet(aug.pair_count, fixed & states.bits)
+    # Pair (i, j) is fixed by f exactly when i and j both are: the outer AND of f's fixed points.
+    size = aug.maps.shape[1]
+    fixed = np.zeros((size, size), dtype=bool)
+    for row in aug.maps == np.arange(size):
+        points = np.flatnonzero(row)
+        fixed[points[:, None], points] = True
+    return StateSet(aug.pair_count, fixed.reshape(-1) & states.bits)
 
 
 def maximum_invariant_set(constraint: StateSet, aug: AugmentedSystem) -> StateSet:
@@ -168,7 +173,7 @@ def _cyclic_components(
     position = np.full(aug.pair_count, -1, dtype=np.int32)
     position[states] = position[second * size + first] = np.arange(states.size)
     # Row v holds member v's successors as member positions, -1 outside the closure.
-    heads = position[aug.successors[:, states]].T
+    heads = position[aug.successors(states)].T
     edges, degree = array("i", heads.tobytes()), heads.shape[1]
 
     def successors(v: int) -> array:
@@ -303,6 +308,16 @@ def candidate_sufficient(candidate: StateSet, aug: AugmentedSystem, part: Partit
     return part.s1.issubset(robust_reach(marked, aug).union | marked)
 
 
+def _warm_reach(target: StateSet, start: StateSet, aug: AugmentedSystem) -> StateSet:
+    """``robust_reach(target, aug).union``, given ``start``, the union of a reach from a subset.
+
+    A robust attractor grows with its target: for T1 <= T2 and start =
+    reach(T1), reach(T2) = reach(T2 | start), so the states of ``start``
+    count as arrived before the first layer.
+    """
+    return robust_reach(target | start, aug).union | (start - target)
+
+
 def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> AnalysisReport:
     """Run the full target-set search and return every minimal candidate."""
     if subset_cap < 0:
@@ -322,7 +337,12 @@ def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> An
     core_reach = residual = invariant = second_residual = empty
     anchors = second_anchors = candidates = ()
     if indist:
-        core_reach = robust_reach(mirror_close(core_target, n), aug).union
+        # The targets are nested (s2, then core_target, then core_target | invariant),
+        # so each reach starts from the union of the one before.  The s2 union is
+        # mirror-closed and off the diagonal, so it is distinguishable's mirror closure.
+        core_reach = _warm_reach(
+            mirror_close(core_target, n), mirror_close(distinguishable, n), aug
+        )
         residual = indist - (core | core_reach)
         if residual:
             # The maximum invariant set of a mirror-closed constraint is mirror-closed,
@@ -331,7 +351,7 @@ def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> An
             anchors = minimal_anchor_sets(invariant, aug, cap=subset_cap)
             # With no invariant set, the widened target is core_reach's own target.
             widened = (
-                robust_reach(mirror_close(core_target | invariant, n), aug).union
+                _warm_reach(mirror_close(core_target | invariant, n), core_reach, aug)
                 if invariant
                 else core_reach
             )

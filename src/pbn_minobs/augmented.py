@@ -1,9 +1,10 @@
 """Parallel-copy dynamics: pair-state successors, expected transition matrices.
 
 Two copies of the network driven by one switching signal evolve the pair
-(i, j) to (L_v(i), L_v(j)).  The pair maps are kept as one successor array
-(a row of 0-based pair indices per positive-probability subnetwork), never
-as dense 4^n x 4^n arrays.  Every fixpoint is built from the pre-image
+(i, j) to (L_v(i), L_v(j)).  So the k x 2^n network maps of the
+positive-probability subnetworks fix every pair successor: the pair maps are
+computed from them where they are read, never stored as a k x 4^n array or
+as dense 4^n x 4^n matrices.  Every fixpoint is built from the pre-image
 operators ``pre_all`` (all successors inside a bool array over the pair
 space) and ``pre_any`` (some successor inside).
 """
@@ -15,9 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .model import PbnModel
-from .stp import LogicalMatrix, check_size, dimension_cap
+from .stp import LogicalMatrix, check_size
 
 COLUMN_SUM_TOL = 1e-9
 
@@ -87,38 +87,62 @@ class StochasticMatrix:
 
 @dataclass(frozen=True, eq=False)
 class AugmentedSystem:
-    """The paired system: the positive-probability successors of every pair state.
+    """The paired system, held as the network maps of its positive-probability subnetworks.
 
-    ``successors[r, z]`` is the 0-based pair index that pair state z (0-based)
-    moves to under the r-th positive-probability subnetwork; its rows are the
-    pair maps.  Their expectation (``q_matrix``) weights these same rows by
-    the subnetwork probabilities, without copying them.
+    ``maps[r, i]`` is the 0-based state that state i (0-based) moves to under
+    the r-th positive-probability subnetwork.  Pair state z = i * 2^n + j
+    moves to ``maps[r, i] * 2^n + maps[r, j]``; :meth:`successors` is the one
+    place that computes it, so no k x 4^n successor array is stored.  Their
+    expectation (``q_matrix``) weights the pair maps by the subnetwork
+    probabilities and is built on first read.
     """
 
     model: PbnModel
-    successors: np.ndarray = field(repr=False)
+    maps: np.ndarray = field(repr=False)
 
     @property
     def pair_count(self) -> int:
-        return self.successors.shape[1]
+        return self.maps.shape[1] ** 2
 
     @property
     def active(self) -> tuple[int, ...]:
         return self.model.active
 
+    def successors(self, z: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """0-based successors of the 0-based pair states ``z``: one row per map in ``rows``."""
+        n = self.model.n
+        maps = self.maps[rows]
+        out = (maps << n).take(z >> n, axis=1)
+        out |= maps.take(z & ((1 << n) - 1), axis=1)
+        return out
+
     @cached_property
     def q_matrix(self) -> StochasticMatrix:
-        """Probability-weighted expectation of the pair maps: a view over ``successors``."""
+        """Probability-weighted expectation of the pair maps, made (k x 4^n) on first read."""
+        check_size(len(self.active), self.pair_count, "pair expectation")
+        succ = self.successors(np.arange(self.pair_count))
+        succ.setflags(write=False)  # so the matrix keeps it without a copy
         probs = self.model.probs
-        return StochasticMatrix(self.pair_count, self.successors, [probs[v] for v in self.active])
+        return StochasticMatrix(self.pair_count, succ, [probs[v] for v in self.active])
 
     def pre_all(self, inside: np.ndarray) -> np.ndarray:
         """Pair states whose every positive-probability successor is in ``inside``."""
-        return inside[self.successors].all(axis=0)
+        return self._pre(inside, np.logical_and)
 
     def pre_any(self, inside: np.ndarray) -> np.ndarray:
         """Pair states with some positive-probability successor in ``inside``."""
-        return inside[self.successors].any(axis=0)
+        return self._pre(inside, np.logical_or)
+
+    def _pre(self, inside: np.ndarray, combine) -> np.ndarray:
+        # Under map f, grid[f][:, f][i, j] = grid[f[i], f[j]] tells whether pair (i, j) goes
+        # inside; two takes gather it faster than the indexing.
+        size = self.maps.shape[1]
+        grid = inside.reshape(size, size)
+        f = self.maps[0]
+        out = grid.take(f, axis=0).take(f, axis=1)
+        for f in self.maps[1:]:
+            combine(out, grid.take(f, axis=0).take(f, axis=1), out=out)
+        return out.reshape(-1)
 
 
 def pair_map(transition: LogicalMatrix) -> LogicalMatrix:
@@ -130,22 +154,12 @@ def pair_map(transition: LogicalMatrix) -> LogicalMatrix:
 
 
 def build_augmented(model: PbnModel) -> AugmentedSystem:
-    """Construct the successor array of the positive-probability pair maps."""
+    """The paired system of ``model``; refused when its 4^n pair space passes the entry cap."""
     size = model.state_count
-    pair_count = size * size
-    cap = dimension_cap()
-    if model.m * pair_count > cap:
-        raise ResourceLimitError(
-            f"augmented system needs {model.m}x{pair_count} stored entries, "
-            f"exceeding the cap {cap}"
-        )
-    # Each row is written in place: pair i * size + j goes to col[i] * size + col[j].
-    succ = np.empty((len(model.active), pair_count), dtype=np.int64)
-    for row, v in zip(succ, model.active):
-        col = model.transitions[v].col_index - 1
-        np.add.outer(col * size, col, out=row.reshape(size, size))
-    succ.setflags(write=False)
-    return AugmentedSystem(model=model, successors=succ)
+    check_size(size, size, "pair space")
+    maps = np.stack([model.transitions[v].col_index - 1 for v in model.active]).astype(np.intp)
+    maps.setflags(write=False)
+    return AugmentedSystem(model=model, maps=maps)
 
 
 def expected_transition(model: PbnModel) -> StochasticMatrix:

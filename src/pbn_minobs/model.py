@@ -233,9 +233,20 @@ class _ExprParser:
         raise self._fail(f"unexpected token {text!r}", col)
 
 
+# Parsing and tabulating a rule recurse once per nesting level, so a rule
+# nested past the interpreter's recursion limit is refused with its place.
+_TOO_DEEP = "rule is nested too deeply to evaluate"
+
+
 def parse_bool_expr(text: str, n_vars: int, line: int | None = None, col_base: int = 1) -> BoolExpr:
-    """Parse a rule over x1..x``n_vars`` with precedence ! > & > ^ > | > -> > <->."""
-    return _ExprParser(text, n_vars, line=line, col_base=col_base).parse()
+    """Parse a rule over x1..x``n_vars`` with precedence ! > & > ^ > | > -> > <->.
+
+    A rule nested too deeply to parse raises ModelFormatError at its first column.
+    """
+    try:
+        return _ExprParser(text, n_vars, line=line, col_base=col_base).parse()
+    except RecursionError:
+        raise ModelFormatError(_TOO_DEEP, line=line, col=col_base) from None
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +368,6 @@ _SECTION_RE = re.compile(r"\[\s*(net\s+(\d+)|output)\s*\]$")
 _RULE_RE = re.compile(r"x(\d+)'\s*=\s*(?=\S)")
 _OUTPUT_RULE_RE = re.compile(r"y(\d+)\s*=\s*(?=\S)")
 _LITERAL_RE = re.compile(r"([LH])\s*=\s*delta(\d+)\s*\[([^\]]*)\]$")
-# Parsing and tabulating a rule recurse once per nesting level, so a rule
-# nested past the interpreter's recursion limit is refused with its line.
-_TOO_DEEP = "rule is nested too deeply to evaluate"
 
 
 class _Block:
@@ -474,12 +482,7 @@ def parse_model(text: str) -> PbnModel:
             raise ModelFormatError(f"duplicate rule for {name}", line=line_no)
         expr_text = stripped[m.end():]
         col_base = indent + m.end() + 1
-        try:
-            current.rules[target] = parse_bool_expr(
-                expr_text, int(n), line=line_no, col_base=col_base
-            )
-        except RecursionError:
-            raise ModelFormatError(_TOO_DEEP, line=line_no) from None
+        current.rules[target] = parse_bool_expr(expr_text, int(n), line=line_no, col_base=col_base)
         current.rule_lines[target] = line_no
 
     for key in ("states", "outputs", "subnetworks", "p"):

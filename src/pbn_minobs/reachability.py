@@ -59,7 +59,7 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
     arrived = np.zeros(sentinel + 1, dtype=bool)
     arrived[:sentinel] = target.bits
     pending = np.flatnonzero(~target.bits)
-    watch = aug.successors[0][pending]
+    watch = aug.successors(pending, slice(1))[0]
     gone = 0  # pending states that have arrived
     layers: list[np.ndarray] = []
     # Subsets are taken through index arrays: numpy's boolean-mask selection
@@ -69,7 +69,7 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
         if not ready.size:
             break
         layer = pending[ready]
-        succ = aug.successors.take(layer, axis=1)
+        succ = aug.successors(layer)
         inside = arrived[succ]
         # The first successor not yet arrived (row 0 where all have: those pass).
         watch[ready] = succ[inside.argmin(axis=0), np.arange(layer.size)]

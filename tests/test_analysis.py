@@ -20,6 +20,7 @@ from pbn_minobs import (
     mirror_close,
     one_step_to_diagonal,
     pair_index,
+    pair_map,
     partition_states,
     positive_prob_fixed_points,
     robust_reach,
@@ -83,6 +84,20 @@ def test_fixed_points_empty_for_fixed_point_free_dynamics():
     aug = build_augmented(model)
     full = StateSet.full(16)
     assert not positive_prob_fixed_points(full, aug)
+
+
+def test_fixed_points_from_the_maps_match_the_pair_maps():
+    rng = np.random.default_rng(57)
+    for _ in range(200):
+        model = random_model(rng, n=int(rng.integers(1, 6)), m=int(rng.integers(1, 5)))
+        aug = build_augmented(model)
+        pairs = np.arange(aug.pair_count)
+        fixed = np.zeros(aug.pair_count, dtype=bool)
+        for v in model.active:
+            fixed |= pair_map(model.transitions[v]).col_index - 1 == pairs
+        assert positive_prob_fixed_points(StateSet.full(aug.pair_count), aug).bits.tolist() == (
+            fixed.tolist()
+        )
 
 
 def test_maximum_invariant_set_examples(apoptosis):
@@ -410,3 +425,33 @@ def test_empty_invariant_set_reuses_core_reach(monkeypatch):
         assert report.second_residual == second
         assert report.second_anchors == (minimal_anchor_sets(second, aug, cap=14) if second else ())
     assert seen[2] >= 40 and seen[3] >= 20, seen
+
+
+def test_warm_started_reaches_equal_cold_ones():
+    # minimal_targets starts each nested reach from the union of the one before.
+    rng = np.random.default_rng(2027)
+    checked = {"core": 0, "widened": 0, "nested": 0}
+    for _ in range(300):
+        model = random_model(rng, n=int(rng.integers(2, 6)))
+        try:
+            report = minimal_targets(model, subset_cap=14)
+        except ResourceLimitError:
+            continue
+        aug, n = report.system, model.n
+        if report.indistinguishable:
+            cold = robust_reach(mirror_close(report.core_target, n), aug).union
+            assert report.core_reach == cold
+            checked["core"] += bool(cold)
+        if report.invariant_set:
+            widened = mirror_close(report.core_target | report.invariant_set, n)
+            warm = analysis._warm_reach(widened, report.core_reach, aug)
+            assert warm == robust_reach(widened, aug).union
+            checked["widened"] += 1
+        # Any nested pair of targets, mirror-closed or not.
+        pairs = aug.pair_count
+        small = StateSet.from_indices(pairs, rng.integers(1, pairs + 1, size=pairs // 8 + 1))
+        big = small | StateSet.from_indices(pairs, rng.integers(1, pairs + 1, size=pairs // 8 + 1))
+        start = robust_reach(small, aug).union
+        assert analysis._warm_reach(big, start, aug) == robust_reach(big, aug).union
+        checked["nested"] += bool(start - big)
+    assert checked["core"] >= 200 and checked["widened"] >= 30 and checked["nested"] >= 200, checked

@@ -190,21 +190,28 @@ def test_pre_image_operators_match_column_support():
             assert pre_any[z - 1] == any(hits)
 
 
-def test_successors_are_the_positive_probability_pair_maps():
+def test_successors_from_the_maps_are_the_positive_probability_pair_maps():
     rng = np.random.default_rng(72)
-    for _ in range(60):
-        model = random_model(rng)
+    for _ in range(240):
+        model = random_model(rng, n=int(rng.integers(1, 6)), m=int(rng.integers(1, 5)))
         aug = build_augmented(model)
-        assert aug.successors.shape == (len(model.active), model.state_count**2)
-        assert aug.successors.dtype == np.int64
-        assert not aug.successors.flags.writeable
+        k, size = len(model.active), model.state_count
+        assert aug.maps.shape == (k, size) and aug.maps.dtype == np.intp
+        assert not aug.maps.flags.writeable
+        pairs = np.arange(aug.pair_count)
+        succ = aug.successors(pairs)
+        assert succ.shape == (k, size * size) and succ.dtype == np.intp
+        picked = rng.integers(0, aug.pair_count, size=int(rng.integers(0, 40)))
         for row, v in enumerate(model.active):
-            assert np.array_equal(aug.successors[row], pair_map(model.transitions[v]).col_index - 1)
+            expected = pair_map(model.transitions[v]).col_index - 1
+            assert np.array_equal(succ[row], expected)
+            assert np.array_equal(aug.successors(picked, slice(row, row + 1))[0], expected[picked])
 
 
 def test_q_matrix_is_built_on_first_access_within_budget(apoptosis):
     aug = build_augmented(apoptosis)
-    assert "q_matrix" not in vars(aug) and "maps" not in vars(aug)
+    # The system holds its model and the k x 2^n maps; nothing sized by the pair space.
+    assert set(vars(aug)) == {"model", "maps"}
     assert aug.q_matrix is aug.q_matrix
 
     def time_q_build():
@@ -249,7 +256,8 @@ def test_weighted_maps_match_per_column_reference():
                     ref_dense[r - 1, j - 1] = value
             assert np.array_equal(q.dense(), ref_dense)
         aug = build_augmented(model)
-        succ_maps = [LogicalMatrix(aug.pair_count, row + 1) for row in aug.successors]
+        rows = aug.successors(np.arange(aug.pair_count))
+        succ_maps = [LogicalMatrix(aug.pair_count, row + 1) for row in rows]
         expected = reference_weighted_sum(succ_maps, [model.probs[v] for v in aug.active])
         ref_dense = np.zeros((aug.pair_count, aug.pair_count))
         for j, acc in enumerate(expected, start=1):
@@ -296,17 +304,29 @@ def test_stochastic_matrix_never_aliases_a_callers_array():
     assert StochasticMatrix(2, frozen, [0.5, 0.5]).dense().tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
 
-def test_q_matrix_shares_the_successor_array():
+def test_q_matrix_keeps_the_one_pair_map_array_it_builds():
     model = random_model(np.random.default_rng(74), n=7, m=4, allow_zero_probs=False)
     aug = build_augmented(model)
+    expected = aug.successors(np.arange(aug.pair_count))
     tracemalloc.start()
     try:
-        aug.q_matrix
-        _, peak = tracemalloc.get_traced_memory()
+        q = aug.q_matrix
+        held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # A copy of the 512 KiB successor array, let alone a CSC assembly, would show.
-    assert peak < aug.successors.nbytes // 4, f"reading q_matrix allocated {peak} bytes"
+    # q_matrix keeps the one k x 4^n array of pair maps it made (512 KiB here), not a copy.
+    assert expected.nbytes <= held < expected.nbytes * 5 // 4, held
+    assert q is aug.q_matrix
+
+
+def test_q_matrix_checked_against_dimension_cap_on_first_read(apoptosis, monkeypatch):
+    k, pairs = len(apoptosis.active), apoptosis.state_count**2
+    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", str(k * pairs - 1))
+    aug = build_augmented(apoptosis)
+    with pytest.raises(ResourceLimitError, match=f"pair expectation of size {k}x{pairs}"):
+        aug.q_matrix
+    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", str(k * pairs))
+    assert aug.q_matrix.cols == pairs
 
 
 def test_dense_expectation_checked_against_dimension_cap(apoptosis, monkeypatch):

@@ -20,6 +20,7 @@ from pbn_minobs import (
     partition_states,
     render_model,
     robust_reach,
+    robust_reach_oracle,
 )
 from pbn_minobs import cli
 from pbn_minobs.analysis import DEFAULT_SUBSET_CAP
@@ -129,10 +130,32 @@ def test_analyze_dot_export(tmp_path, capsys):
 
 
 def test_analyze_resource_cap_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "100")
+    # The bundled model's largest arrays hold 64 entries: its 8 x 8 rule
+    # products and its pair-space set.
+    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "63")
     code, _, err = run(capsys, "analyze", MODEL_PATH)
     assert code == EXIT_RESOURCE
     assert "cap" in err
+
+
+def test_entry_cap_counts_the_pair_space_not_the_pair_maps(capsys, monkeypatch, tmp_path):
+    # n = 4, k = 4: the 4^n = 256 pair-space set is the largest array a build makes.
+    model = random_model(np.random.default_rng(77), n=4, m=4, allow_zero_probs=False)
+    assert len(model.active) == 4
+    path = tmp_path / "n4.pbn"
+    path.write_text(render_model(model), encoding="utf-8")
+    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "256")
+    aug = build_augmented(model)
+    target = mirror_close(partition_states(model).s2, model.n)
+    assert robust_reach(target, aug).union == robust_reach_oracle(target, model)
+    assert run(capsys, "reach", str(path), "--target", "S2")[0] == EXIT_OK
+    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "255")
+    refusal = "pair space of size 16x16 exceeds the entry cap 255"
+    with pytest.raises(ResourceLimitError, match=refusal):
+        build_augmented(model)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_RESOURCE and out == ""
+    assert "pair space" in err and "cap 255" in err
 
 
 def test_reach_named_target(capsys):

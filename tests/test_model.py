@@ -134,23 +134,26 @@ def one_rule_model(net_rule: str, output_rule: str = "x1") -> str:
     )
 
 
-# 140 nested parentheses overflow the parser, 1000 '!' too, and a 1000-term
-# chain parses but overflows when its table is evaluated.
+# 140 nested parentheses overflow the parser, 1000 '!' too, and both are refused
+# at the rule's first column; a 1000-term chain parses but overflows when its
+# table is evaluated, and is refused with its line alone.
 DEEP_RULES = {
-    "parentheses": "(" * 140 + "x1" + ")" * 140,
-    "negations": "!" * 1000 + "x1",
-    "chain": " & ".join(["x1"] * 1000),
+    "parentheses": ("(" * 140 + "x1" + ")" * 140, True),
+    "negations": ("!" * 1000 + "x1", True),
+    "chain": (" & ".join(["x1"] * 1000), False),
 }
 
 
-@pytest.mark.parametrize("rule", DEEP_RULES.values(), ids=DEEP_RULES.keys())
-def test_rule_nested_too_deeply_is_refused_with_its_line(rule, tmp_path, capsys):
-    for text, line in ((one_rule_model(rule), 6), (one_rule_model("x1", rule), 8)):
+@pytest.mark.parametrize("rule, in_parser", DEEP_RULES.values(), ids=DEEP_RULES.keys())
+def test_rule_nested_too_deeply_is_refused_with_its_line(rule, in_parser, tmp_path, capsys):
+    # The net rule starts at column 7 of line 6, the output rule at column 6 of line 8.
+    for text, line, col in ((one_rule_model(rule), 6, 7), (one_rule_model("x1", rule), 8, 6)):
         with pytest.raises(ModelFormatError, match="nested too deeply") as err:
             parse_model(text)
-        assert err.value.line == line
+        assert (err.value.line, err.value.col) == (line, col if in_parser else None)
     path = tmp_path / "deep.pbn"
     path.write_text(one_rule_model(rule))
+    place = "line 6, col 7: " if in_parser else "line 6: "
     for argv in (
         ["validate", str(path)],
         ["analyze", str(path)],
@@ -159,7 +162,17 @@ def test_rule_nested_too_deeply_is_refused_with_its_line(rule, tmp_path, capsys)
     ):
         assert main(argv) == EXIT_VALIDATION
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: line 6: "), (argv, err)
+        assert out == "" and err.startswith("error: " + place), (argv, err)
+
+
+@pytest.mark.parametrize("rule", [r for r, in_parser in DEEP_RULES.values() if in_parser])
+def test_direct_parse_of_a_too_deep_rule_names_its_column(rule):
+    with pytest.raises(ModelFormatError, match="nested too deeply") as err:
+        parse_bool_expr(rule, 1)
+    assert (err.value.line, err.value.col) == (None, 1)
+    with pytest.raises(ModelFormatError) as err:
+        parse_bool_expr(rule, 1, line=3, col_base=9)
+    assert str(err.value) == "line 3, col 9: rule is nested too deeply to evaluate"
 
 
 def test_deep_rules_below_the_limit_keep_their_matrices():

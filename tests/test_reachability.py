@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pbn_minobs import (
     mirror_close,
     one_step_robust,
     pair_index,
+    pair_map,
     partition_states,
     robust_reach,
     robust_reach_oracle,
@@ -222,7 +225,7 @@ def test_layers_with_one_positive_probability_row():
         probs = np.zeros(model.m)
         probs[t % model.m] = 1.0
         aug = build_augmented(_with_probs(model, tuple(probs.tolist())))
-        assert aug.successors.shape[0] == 1
+        assert aug.maps.shape[0] == 1
         pairs = aug.pair_count
         raw = rng.integers(1, pairs + 1, size=int(rng.integers(1, pairs // 4 + 2)))
         for target in (mirror_close(partition_states(model).s2, model.n),
@@ -242,7 +245,7 @@ def test_layers_with_zero_probability_subnetworks():
         weights = np.where(live, rng.random(4) + 0.1, 0.0)
         zeroed = _with_probs(model, tuple((weights / weights.sum()).tolist()))
         aug = build_augmented(zeroed)
-        assert aug.successors.shape[0] == live.sum()
+        assert aug.maps.shape[0] == live.sum()
         pairs = aug.pair_count
         raw = rng.integers(1, pairs + 1, size=int(rng.integers(1, pairs // 4 + 2)))
         for target in (mirror_close(partition_states(model).s2, model.n),
@@ -256,3 +259,52 @@ def test_reach_rejects_target_from_another_universe(apoptosis):
     aug = build_augmented(apoptosis)
     with pytest.raises(ValueError):
         robust_reach(StateSet.from_indices(16, [2]), aug)
+
+
+def _stored_array_layers(target, model):
+    """Layers by full sweeps over a stored k x 4^n successor array of the pair maps."""
+    stored = np.stack([pair_map(model.transitions[v]).col_index - 1 for v in model.active])
+    arrived, layers = target.bits.copy(), []
+    while True:
+        layer = np.flatnonzero(~arrived & arrived[stored].all(axis=0))
+        if not layer.size:
+            return layers
+        layers.append(layer)
+        arrived[layer] = True
+
+
+def test_layers_from_the_maps_match_a_stored_successor_array():
+    rng = np.random.default_rng(48)
+    layered = 0
+    for _ in range(220):
+        model = random_model(rng, n=int(rng.integers(1, 6)), m=int(rng.integers(1, 5)))
+        aug = build_augmented(model)
+        pairs = aug.pair_count
+        raw = rng.integers(1, pairs + 1, size=int(rng.integers(1, pairs // 4 + 2)))
+        for target in (mirror_close(partition_states(model).s2, model.n),
+                       StateSet.from_indices(pairs, raw)):
+            result = robust_reach(target, aug)
+            expected = _stored_array_layers(target, model)
+            assert len(result.layers) == len(expected)
+            for layer, ref in zip(result.layers, expected):
+                assert np.array_equal(layer, ref)
+            assert result.union == robust_reach_oracle(target, model)
+            layered += bool(result.steps)
+    assert layered >= 200
+
+
+def test_build_and_reach_never_make_a_k_by_pair_space_array():
+    # The workload family (k = 4 subnetworks, q = 2 outputs) at n = 7: one
+    # k x 4^n int64 array alone would take 512 KiB.
+    rng = np.random.default_rng(49)
+    for _ in range(5):
+        model = random_model(rng, n=7, m=4, q=2, allow_zero_probs=False)
+        target = mirror_close(partition_states(model).s2, model.n)
+        tracemalloc.start()
+        try:
+            result = robust_reach(target, build_augmented(model))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.steps
+        assert peak < 4 * 4**7 * np.dtype(np.int64).itemsize, peak
