@@ -25,7 +25,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from math import prod
 from operator import or_
 
@@ -45,6 +45,10 @@ from .reachability import robust_reach
 from .stp import check_size
 
 DEFAULT_SUBSET_CAP = 20
+
+# Cycle-breaker subsets are tested in blocks whose temporaries hold at most
+# this many int64 entries (512 KB), so a component at any cap stays small.
+BREAKER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -253,42 +257,43 @@ def _minimal_cycle_breakers(succ: list[int]) -> list[int]:
     """Every inclusion-minimal vertex set whose removal leaves the graph acyclic.
 
     Vertices are bit positions and ``succ[v]`` is the successor bitmask of
-    v.  Subsets are tried in ascending size and supersets of kept sets are
-    skipped; once every subset of one size is skipped, all larger ones are.
+    v.  Subsets are tried in ascending size, all of one size together in
+    blocks of bitmasks; supersets of kept sets are skipped, and once every
+    subset of one size is skipped, all larger ones are.
     """
-    everything = (1 << len(succ)) - 1
-    vertices = [1 << v for v in range(len(succ))]
-    kept: list[int] = []
-    for r in range(1, len(succ) + 1):
-        tried = False
-        for combo in combinations(vertices, r):
-            chosen = sum(combo)
-            if any(k & chosen == k for k in kept):
-                continue
-            tried = True
-            if _acyclic(succ, everything & ~chosen):
-                kept.append(chosen)
+    size = len(succ)
+    bit = 1 << np.arange(size, dtype=np.int64)
+    heads = np.array(succ, dtype=np.int64)
+    everything = (1 << size) - 1
+    kept = np.zeros(0, dtype=np.int64)
+    for r in range(1, size + 1):
+        subsets = map(sum, combinations(bit.tolist(), r))
+        rows = max(1, BREAKER_BLOCK // (size + kept.size))
+        found, tried = [], False
+        while (chosen := np.fromiter(islice(subsets, rows), dtype=np.int64)).size:
+            if kept.size:
+                chosen = chosen[~((chosen[:, None] & kept) == kept).any(axis=1)]
+            if chosen.size:
+                tried = True
+                found.append(chosen[_acyclic(everything ^ chosen, heads, bit)])
         if not tried:
             break
-    return kept
+        kept = np.concatenate([kept, *found])
+    return kept.tolist()
 
 
-def _acyclic(succ: list[int], alive: int) -> bool:
-    """Kahn's algorithm on the subgraph induced by the bitmask ``alive``."""
-    indegree = {v: 0 for v in _bits(alive)}
-    for v in indegree:
-        for w in _bits(succ[v] & alive):
-            indegree[w] += 1
-    ready = [v for v, d in indegree.items() if d == 0]
-    removed = 0
-    while ready:
-        v = ready.pop()
-        removed += 1
-        for w in _bits(succ[v] & alive):
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                ready.append(w)
-    return removed == len(indegree)
+def _acyclic(alive: np.ndarray, heads: np.ndarray, bit: np.ndarray) -> np.ndarray:
+    """Which vertex bitmasks in ``alive`` induce an acyclic subgraph.
+
+    Every round removes each set's sinks (live vertices whose successor mask
+    ``heads[v]`` misses the set) at once; a set is acyclic when this empties it.
+    """
+    while True:
+        sinks = ((alive[:, None] & bit) != 0) & ((alive[:, None] & heads) == 0)
+        gone = sinks @ bit
+        if not gone.any():
+            return alive == 0
+        alive = alive ^ gone
 
 
 def _bits(mask: int) -> list[int]:

@@ -11,6 +11,7 @@ import json
 import sys
 import time
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +55,9 @@ LISTING_BLOCK = 1 << 14
 PAIR_LITERALS = np.frombuffer(b"=(\0\0,\0\0\0), \0", dtype=np.uint32)
 
 # One pair-listing entry as ``json.dumps(..., indent=2)`` lays it out at depth
-# 0, with ``str.format`` fields for the index and the pair.
-PAIR_ENTRY = '{{\n  "index": {},\n  "pair": [\n    {},\n    {}\n  ]\n}}'
+# 0: the text before the index, between the index and i, between i and j, and
+# after j.
+PAIR_ENTRY = ('{\n  "index": ', ',\n  "pair": [\n    ', ',\n    ', "\n  ]\n}")
 
 
 def build_report(
@@ -128,44 +130,115 @@ def build_report(
     return doc
 
 
-def write_json(doc, stream) -> None:
+def fold_once():
+    """A fold with the arrays of ``folded_pairs``, computed once per set object.
+
+    It reads the set's members instead of its 4^n grid: the sets of an
+    analysis report are sparse and hold canonical i < j pairs, and a member
+    (i, j) with i > j stands for its mirror.  Each set is held with its
+    arrays, so no other object takes its ``id``.
+    """
+    memo: dict[int, tuple] = {}
+
+    def fold(states: StateSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        entry = memo.get(id(states))
+        if entry is None:
+            n = (states.universe.bit_length() - 1) // 2  # universe = 4^n = 2^(2n)
+            z = states.bits.nonzero()[0]
+            first, second = z >> n, z & ((1 << n) - 1)
+            lower = first > second
+            if lower.any():
+                z = np.union1d(z[~lower], second[lower] << n | first[lower])
+                first, second = z >> n, z & ((1 << n) - 1)
+            entry = memo[id(states)] = (states, (z + 1, first + 1, second + 1))
+        return entry[1]
+
+    return fold
+
+
+def write_json(doc, stream, fold=None) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline to ``stream``.
 
     ``doc`` holds dicts with str keys, lists, tuples, JSON scalars and
     ``StateSet`` values.  Containers are laid out as the stdlib lays them
-    out; keys and scalars go through ``json.dumps``.  A ``StateSet`` stands
-    for the list of its canonical pairs, ``{"index": z, "pair": [i, j]}``
-    each; all entries at one depth share their text around the three
-    numbers, so a listing is formatted from the ``folded_pairs`` arrays
-    through one template.
+    out, and keys and scalars are written as it writes them, floats through
+    ``json.dumps`` itself.  A ``StateSet`` stands for the list of its
+    canonical pairs, ``{"index": z, "pair": [i, j]}`` each, from the arrays
+    of ``fold(states)`` (default: a new :func:`fold_once`).  A listing is
+    formatted from ``PAIR_ENTRY`` indented to its depth and streamed in blocks of
+    ``LISTING_BLOCK`` entries.  The text of a one-block listing is kept, so
+    a set that occurs again is not formatted again: its text is re-indented
+    to the new depth.
     """
+    fold = fold or fold_once()
+    kept: dict[int, tuple[str, str]] = {}  # id of a set -> (its depth's pad, its text)
+    write = stream.write
 
-    def emit(value, pad: str) -> None:
+    def listing(states: StateSet, pad: str) -> None:
+        if id(states) in kept:
+            first, text = kept[id(states)]
+            write(text if pad == first else text.replace("\n" + first, "\n" + pad))
+            return
+        z, i, j = fold(states)
+        if not z.size:
+            write("[]")
+            return
         inner = pad + "  "
-        if isinstance(value, StateSet):
-            # universe = 4^n = 2^(2n)
-            z, i, j = folded_pairs(value, (value.universe.bit_length() - 1) // 2)
-            if not z.size:
-                stream.write("[]")
-                return
-            template = inner + PAIR_ENTRY.replace("\n", "\n" + inner)
-            body = ",\n".join(map(template.format, z.tolist(), i.tolist(), j.tolist()))
-            stream.write(f"[\n{body}\n{pad}]")
-        elif isinstance(value, dict) and value:
-            for k, (key, item) in enumerate(value.items()):
-                stream.write(f"{',' if k else '{'}\n{inner}{json.dumps(key)}: ")
-                emit(item, inner)
-            stream.write(f"\n{pad}}}")
-        elif isinstance(value, (list, tuple)) and value:
-            for k, item in enumerate(value):
-                stream.write(f"{',' if k else '['}\n{inner}")
-                emit(item, inner)
-            stream.write(f"\n{pad}]")
-        else:
-            stream.write(json.dumps(value))
+        head, mid, sep, tail = (part.replace("\n", "\n" + inner) for part in PAIR_ENTRY)
+        head = inner + head
 
-    emit(doc, "")
-    stream.write("\n")
+        def entries(start: int, stop: int) -> str:
+            rows = zip(*(column[start:stop].tolist() for column in (z, i, j)))
+            return ",\n".join([f"{head}{k}{mid}{a}{sep}{b}{tail}" for k, a, b in rows])
+
+        if z.size <= LISTING_BLOCK:
+            text = f"[\n{entries(0, z.size)}\n{pad}]"
+            kept[id(states)] = (pad, text)
+            write(text)
+            return
+        for start in range(0, z.size, LISTING_BLOCK):
+            write((",\n" if start else "[\n") + entries(start, start + LISTING_BLOCK))
+        write(f"\n{pad}]")
+
+    _emit(doc, "", write, listing)
+    write("\n")
+
+
+def _emit(value, pad: str, write, listing) -> None:
+    """Write ``value`` for :func:`write_json` at the indent ``pad``; ``listing`` writes a set.
+
+    A module-level function, so no closure refers to itself and the
+    listings' arrays and texts go as soon as ``write_json`` returns.
+    """
+    kind = type(value)
+    if kind is StateSet:
+        listing(value, pad)
+    elif kind is int:
+        write(str(value))
+    elif kind is str:
+        write(encode_basestring_ascii(value))
+    elif isinstance(value, dict) and value:
+        inner = pad + "  "
+        opening = "{\n" + inner
+        for key, item in value.items():
+            write(f"{opening}{encode_basestring_ascii(key)}: ")
+            _emit(item, inner, write, listing)
+            opening = ",\n" + inner
+        write(f"\n{pad}}}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        opening = "[\n" + inner
+        for item in value:
+            write(opening)
+            _emit(item, inner, write, listing)
+            opening = ",\n" + inner
+        write(f"\n{pad}]")
+    elif value is None:
+        write("null")
+    elif value is True or value is False:
+        write("true" if value else "false")
+    else:  # floats and empty containers
+        write(json.dumps(value))
 
 
 @cache
@@ -217,8 +290,9 @@ def _fmt_pairs(z: np.ndarray, i: np.ndarray, j: np.ndarray) -> str:
     return "".join(parts)
 
 
-def _summary_lines(model: PbnModel, analysis: AnalysisReport, plan: SensorPlan | None) -> list[str]:
-    n = model.n
+def _summary_lines(
+    model: PbnModel, analysis: AnalysisReport, plan: SensorPlan | None, fold
+) -> list[str]:
     lines = [
         f"states={model.n} outputs={model.q} subnetworks={model.m}",
         f"|s0|={len(analysis.partition.s0)} |s1|={len(analysis.partition.s1)} "
@@ -228,14 +302,14 @@ def _summary_lines(model: PbnModel, analysis: AnalysisReport, plan: SensorPlan |
     if not analysis.observable:
         lines.append(
             "indistinguishable pairs: "
-            f"{_fmt_pairs(*folded_pairs(analysis.indistinguishable, n))}"
+            f"{_fmt_pairs(*fold(analysis.indistinguishable))}"
         )
         lines.append(
             "must separate directly (diagonal hitters + fixed points): "
-            f"{_fmt_pairs(*folded_pairs(analysis.core, n))}"
+            f"{_fmt_pairs(*fold(analysis.core))}"
         )
         for pos, cand in enumerate(analysis.candidates):
-            lines.append(f"candidate {pos}: {_fmt_pairs(*folded_pairs(cand, n))}")
+            lines.append(f"candidate {pos}: {_fmt_pairs(*fold(cand))}")
     if plan is not None:
         covers = ", ".join(
             "{" + ", ".join(f"x{v}" for v in cover) + "}" for _, cover in plan.optima
@@ -337,13 +411,15 @@ def cmd_analyze(args) -> int:
     if args.dot:
         write_s1_graph(args.dot, analysis.system, analysis.partition)
     report = build_report(args.path, model, analysis, plan, timing)
+    # The report and the summary list some sets twice or more: each is folded once.
+    fold = fold_once()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as stream:
-            write_json(report, stream)
+            write_json(report, stream, fold)
     else:
-        write_json(report, sys.stdout)
+        write_json(report, sys.stdout, fold)
     if not args.quiet:
-        for line in _summary_lines(model, analysis, plan):
+        for line in _summary_lines(model, analysis, plan, fold):
             print(line, file=sys.stderr)
     return EXIT_OK
 

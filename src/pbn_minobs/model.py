@@ -25,34 +25,49 @@ PROB_SUM_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 class BoolExpr:
-    """Base class for Boolean rule syntax trees."""
+    """Base class for Boolean rule syntax trees.
+
+    Each walk recurses once per nesting level; on a rule nested past the
+    interpreter's recursion limit it raises ModelFormatError instead.
+    """
 
     def evaluate(self, bits) -> int:
         """Evaluate on a 1-based assignment (``bits[i-1]`` is variable i), in {1, 0}."""
-        raise NotImplementedError
+        return _walk(self._evaluate, bits)
 
     def table(self, assignments: np.ndarray) -> np.ndarray:
         """Evaluate on a (rows, n) bool matrix of assignments at once."""
-        raise NotImplementedError
+        return _walk(self._table, assignments)
 
     def max_var(self) -> int:
-        raise NotImplementedError
+        return _walk(self._max_var)
+
+    def __str__(self) -> str:
+        return _walk(self._text)
+
+
+def _walk(method, *args):
+    """Run one recursive walk of a rule, refusing a rule too deep to walk."""
+    try:
+        return method(*args)
+    except RecursionError:
+        raise ModelFormatError(_TOO_DEEP) from None
 
 
 @dataclass(frozen=True)
 class Var(BoolExpr):
     index: int
 
-    def evaluate(self, bits):
+    def _evaluate(self, bits):
         return 1 if bits[self.index - 1] else 0
 
-    def table(self, assignments):
+    def _table(self, assignments):
         return assignments[:, self.index - 1]
 
-    def max_var(self):
+    def _max_var(self):
         return self.index
 
-    def __str__(self):
+    def _text(self):
         return f"x{self.index}"
 
 
@@ -60,16 +75,16 @@ class Var(BoolExpr):
 class Const(BoolExpr):
     value: bool
 
-    def evaluate(self, bits):
+    def _evaluate(self, bits):
         return 1 if self.value else 0
 
-    def table(self, assignments):
+    def _table(self, assignments):
         return np.full(assignments.shape[0], self.value, dtype=bool)
 
-    def max_var(self):
+    def _max_var(self):
         return 0
 
-    def __str__(self):
+    def _text(self):
         return "1" if self.value else "0"
 
 
@@ -77,17 +92,17 @@ class Const(BoolExpr):
 class Not(BoolExpr):
     arg: BoolExpr
 
-    def evaluate(self, bits):
-        return 1 - self.arg.evaluate(bits)
+    def _evaluate(self, bits):
+        return 1 - self.arg._evaluate(bits)
 
-    def table(self, assignments):
-        return ~self.arg.table(assignments)
+    def _table(self, assignments):
+        return ~self.arg._table(assignments)
 
-    def max_var(self):
-        return self.arg.max_var()
+    def _max_var(self):
+        return self.arg._max_var()
 
-    def __str__(self):
-        return f"!{self.arg}"
+    def _text(self):
+        return f"!{self.arg._text()}"
 
 
 @dataclass(frozen=True)
@@ -96,9 +111,9 @@ class BinOp(BoolExpr):
     lhs: BoolExpr
     rhs: BoolExpr
 
-    def evaluate(self, bits):
-        a = bool(self.lhs.evaluate(bits))
-        b = bool(self.rhs.evaluate(bits))
+    def _evaluate(self, bits):
+        a = bool(self.lhs._evaluate(bits))
+        b = bool(self.rhs._evaluate(bits))
         if self.op == "&":
             return int(a and b)
         if self.op == "|":
@@ -111,9 +126,9 @@ class BinOp(BoolExpr):
             return int(a == b)
         raise AssertionError(f"unknown operator {self.op}")
 
-    def table(self, assignments):
-        a = self.lhs.table(assignments)
-        b = self.rhs.table(assignments)
+    def _table(self, assignments):
+        a = self.lhs._table(assignments)
+        b = self.rhs._table(assignments)
         if self.op == "&":
             return a & b
         if self.op == "|":
@@ -126,11 +141,11 @@ class BinOp(BoolExpr):
             return a == b
         raise AssertionError(f"unknown operator {self.op}")
 
-    def max_var(self):
-        return max(self.lhs.max_var(), self.rhs.max_var())
+    def _max_var(self):
+        return max(self.lhs._max_var(), self.rhs._max_var())
 
-    def __str__(self):
-        return f"({self.lhs} {self.op} {self.rhs})"
+    def _text(self):
+        return f"({self.lhs._text()} {self.op} {self.rhs._text()})"
 
 
 _TOKEN_RE = re.compile(
@@ -233,7 +248,7 @@ class _ExprParser:
         raise self._fail(f"unexpected token {text!r}", col)
 
 
-# Parsing and tabulating a rule recurse once per nesting level, so a rule
+# Parsing and walking a rule recurse once per nesting level, so a rule
 # nested past the interpreter's recursion limit is refused with its place.
 _TOO_DEEP = "rule is nested too deeply to evaluate"
 
@@ -569,8 +584,8 @@ def _finish_block(
     for i in range(1, expected + 1):
         try:
             per_node.append(structure_matrix(block.rules[i], n))
-        except RecursionError:
-            raise ModelFormatError(_TOO_DEEP, line=block.rule_lines[i]) from None
+        except ModelFormatError as exc:  # a rule too deep to walk
+            raise ModelFormatError(exc.message, line=block.rule_lines[i]) from None
     return assemble_network(per_node)
 
 

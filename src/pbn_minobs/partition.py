@@ -68,7 +68,7 @@ class StateSet:
             raise ValueError(f"index {outside[0]} out of range [1, {universe}]")
         bits = np.zeros(universe, dtype=bool)
         bits[idx - 1] = True
-        return cls(universe, bits)
+        return cls._own(bits)
 
     def _check(self, other: "StateSet") -> None:
         if not isinstance(other, StateSet):

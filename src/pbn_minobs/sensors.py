@@ -1,23 +1,29 @@
 """Minimum measurement selection.
 
-Adding the measurement y = x_m separates exactly the pairs whose states
-differ in bit m.  For each candidate target set a truth matrix records which
-variable separates which pair; an exact ascending-cardinality search over row
-subsets yields every minimum cover, and the global optimum is the smallest
-cover over all candidate sets.
+Adding the measurement y = x_v separates exactly the pairs whose states
+differ in variable v, so pair (i, j) is separated by x_v exactly when bit
+n - v of (i - 1) XOR (j - 1) is set.  A set of measurements, read as the mask
+of those bits, separates a set of pairs exactly when it shares a bit with
+each of their distinct XOR values.  One search covers every case: it tries
+all masks of one size at once, in ascending size, and returns every mask of
+the first size that separates all the values.  ``min_cover`` runs it on the
+columns of a truth matrix; ``global_min_sensors`` computes the shared core's
+values and tests them once per size, so each candidate adds only the values
+of its anchor pairs.  The global optimum is the smallest cover over all
+candidate sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 
 import numpy as np
 
 from .analysis import AnalysisReport, distinguishable_split
 from .errors import InfeasibleCoverError
-from .model import PbnModel, Var, assignment_table, structure_matrix
+from .model import PbnModel, assignment_table
 from .partition import StateSet, folded_pairs, pair_split, partition_states
 from .stp import LogicalMatrix, khatri_rao
 
@@ -26,7 +32,8 @@ def single_variable_output(m_idx: int, n: int) -> LogicalMatrix:
     """Output matrix of the measurement y = x_m: column k reads bit m of state k."""
     if not 1 <= m_idx <= n:
         raise ValueError(f"variable index {m_idx} out of range [1, {n}]")
-    return structure_matrix(Var(m_idx), n)
+    # x_m of state k is 1 (row 1) exactly when bit n - m of k - 1 is clear.
+    return LogicalMatrix(2, 1 + (np.arange(1 << n) >> (n - m_idx) & 1))
 
 
 def distinguishable_under(m_idx: int, n: int) -> StateSet:
@@ -85,22 +92,70 @@ def truth_matrix(target: StateSet, n: int) -> TruthMatrix:
     return TruthMatrix(n=n, column_states=tuple(states.tolist()), bits=grid)
 
 
+def _separations(states: np.ndarray, n: int) -> np.ndarray:
+    """The distinct values (i - 1) XOR (j - 1) of the pairs at 0-based ``states``, ascending."""
+    seen = np.zeros(1 << n, dtype=bool)
+    seen[(states >> n) ^ (states & ((1 << n) - 1))] = True
+    return seen.nonzero()[0]
+
+
+@cache
+def _subsets(n: int, r: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """The r-variable sets in lexicographic order: as masks (bit n - v for x_v) and as tuples."""
+    combos = list(combinations(range(1, n + 1), r))
+    masks = np.array([sum(1 << (n - v) for v in combo) for combo in combos], dtype=np.int64)
+    return masks, combos
+
+
+def _separating(masks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Which variable-set ``masks`` share a bit with every one of ``values``."""
+    return np.logical_and.reduce(masks[:, None] & values, axis=1)
+
+
+class _CoverSearch:
+    """Every smallest variable set separating ``shared`` values plus a few more.
+
+    Values and variable sets are bit masks as in the module docstring.  Each
+    size tests all its masks in one numpy step.  The ``shared`` values are
+    tested once per size for every search, which then tests only the masks
+    that pass them.
+    """
+
+    def __init__(self, n: int, shared: np.ndarray):
+        self.n = n
+        self.shared = shared
+        self.passing: dict[int, tuple[np.ndarray, list[tuple[int, ...]]]] = {}
+
+    def _passing(self, r: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+        """The r-variable sets that separate the shared values, as masks and as tuples."""
+        if r not in self.passing:
+            masks, combos = _subsets(self.n, r)
+            keep = _separating(masks, self.shared).nonzero()[0]
+            self.passing[r] = masks[keep], [combos[k] for k in keep.tolist()]
+        return self.passing[r]
+
+    def covers(self, values: np.ndarray) -> tuple[tuple[int, ...], ...]:
+        """The variable sets of the smallest size that separate ``values`` and the shared ones."""
+        for r in range(1, self.n + 1):
+            masks, combos = self._passing(r)
+            if combos:
+                hits = _separating(masks, values).nonzero()[0]
+                if hits.size:
+                    return tuple(combos[k] for k in hits.tolist())
+        raise InfeasibleCoverError("a pair is not separated by any state variable")
+
+
 def min_cover(phi: TruthMatrix) -> tuple[tuple[int, ...], ...]:
     """Every minimum-cardinality variable set whose rows OR to all-ones.
 
     Exact search in ascending cardinality, lexicographic within one size; an
     uncoverable column raises with the offending pair named.
     """
-    width = len(phi.column_states)
-    # Row m as an integer whose bit c is set iff entry (m, c) is.
-    packed = np.packbits(phi.bits, axis=1, bitorder="little")
-    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    full = (1 << width) - 1
-    everything = reduce(lambda a, b: a | b, masks, 0)
-    if everything != full:
-        uncovered = full & ~everything
-        missing = (uncovered & -uncovered).bit_length() - 1
-        z = phi.column_states[missing]
+    # Column c as the mask with bit n - m set iff entry (m, c) is: a separation value.
+    columns = (1 << np.arange(phi.n - 1, -1, -1, dtype=np.int64)) @ phi.bits
+    uncovered = np.flatnonzero(columns == 0)
+    if uncovered.size:
+        z = phi.column_states[uncovered[0]]
         try:
             i, j = pair_split(z, phi.n)
             where = f"{z} = ({i}, {j})"
@@ -109,17 +164,7 @@ def min_cover(phi: TruthMatrix) -> tuple[tuple[int, ...], ...]:
         raise InfeasibleCoverError(
             f"pair state {where} is not separated by any state variable"
         )
-    for r in range(1, phi.n + 1):
-        found = []
-        for combo in combinations(range(phi.n), r):
-            covered = 0
-            for row in combo:
-                covered |= masks[row]
-            if covered == full:
-                found.append(tuple(v + 1 for v in combo))
-        if found:
-            return tuple(found)
-    raise AssertionError("unreachable: the full row set always covers")
+    return _CoverSearch(phi.n, np.unique(columns)).covers(np.zeros(0, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -172,11 +217,14 @@ def global_min_sensors(report: AnalysisReport, model: PbnModel) -> SensorPlan:
         raise ValueError("model is already observable; nothing to add")
     if report.system.model != model:
         raise ValueError("the report was computed for a different model")
+    n = model.n
+    core = report.core
+    search = _CoverSearch(n, _separations(core.bits.nonzero()[0], n))
     per_candidate = []
-    # No candidate lacks a cover: truth_matrix keeps only pairs (i, j) with i < j,
-    # and distinct states differ in some variable, so every column has a set bit.
+    # No candidate lacks a cover: its pairs (i, j) have i < j, and distinct states
+    # differ in some variable.  Each candidate is the core plus its anchor pairs.
     for cand in report.candidates:
-        covers = min_cover(truth_matrix(cand, model.n))
+        covers = search.covers(_separations((cand - core).bits.nonzero()[0], n))
         per_candidate.append(CandidateCover(cand, covers, len(covers[0])))
     min_size = min(c.size for c in per_candidate)
     optima = tuple(

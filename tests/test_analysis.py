@@ -455,3 +455,53 @@ def test_warm_started_reaches_equal_cold_ones():
         assert analysis._warm_reach(big, start, aug) == robust_reach(big, aug).union
         checked["nested"] += bool(start - big)
     assert checked["core"] >= 200 and checked["widened"] >= 30 and checked["nested"] >= 200, checked
+
+
+def _reference_acyclic(succ, alive):
+    """Whether the vertices of the bitmask ``alive`` induce an acyclic graph, by a plain DFS."""
+    state = {}
+
+    def cyclic_from(v):
+        state[v] = "open"
+        for w in range(len(succ)):
+            if succ[v] >> w & 1 and alive >> w & 1:
+                if state.get(w) == "open" or (w not in state and cyclic_from(w)):
+                    return True
+        state[v] = "done"
+        return False
+
+    return not any(alive >> v & 1 and v not in state and cyclic_from(v) for v in range(len(succ)))
+
+
+def test_cycle_breakers_match_brute_force_feedback_vertex_sets():
+    rng = np.random.default_rng(18)
+    checked = 0
+    while checked < 320:
+        size = int(rng.integers(1, 11))
+        edges = rng.random((size, size)) < rng.uniform(0.1, 0.5)  # self-loops included
+        succ = [int(sum(1 << w for w in np.flatnonzero(row))) for row in edges]
+        everything = (1 << size) - 1
+        if _reference_acyclic(succ, everything):
+            continue
+        breaking = [m for m in range(1, 1 << size) if _reference_acyclic(succ, everything ^ m)]
+        # Breaking is monotone, so a set is minimal when no one-smaller subset breaks.
+        broken = set(breaking)
+        minimal = sorted(
+            m for m in breaking if not any(m ^ (1 << v) in broken for v in range(size) if m >> v & 1)
+        )
+        assert sorted(analysis._minimal_cycle_breakers(succ)) == minimal
+        checked += 1
+
+
+def test_cycle_breakers_test_subsets_in_bounded_blocks(monkeypatch):
+    # Blocks of a few subsets give the same answer as one block per size.
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        size = int(rng.integers(2, 9))
+        succ = [int(m) for m in rng.integers(0, 1 << size, size)]
+        if _reference_acyclic(succ, (1 << size) - 1):
+            continue
+        whole = sorted(analysis._minimal_cycle_breakers(succ))
+        monkeypatch.setattr(analysis, "BREAKER_BLOCK", 3)
+        assert sorted(analysis._minimal_cycle_breakers(succ)) == whole
+        monkeypatch.undo()

@@ -529,3 +529,48 @@ def test_every_cli_outcome_is_a_documented_exit_code(argv):
             assert exc.code == EXIT_VALIDATION, argv
             return
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_INFEASIBLE, EXIT_RESOURCE), argv
+
+
+def _random_state_set(rng, n):
+    """A random pair set over 4^n, members on both sides of the diagonal."""
+    return StateSet(4**n, rng.random(4**n) < rng.uniform(0.0, 0.3))
+
+
+def test_fold_once_matches_folded_pairs_and_folds_each_set_once():
+    from pbn_minobs.partition import folded_pairs
+
+    rng = np.random.default_rng(184)
+    fold = cli.fold_once()
+    for _ in range(320):
+        n = int(rng.integers(1, 6))
+        states = _random_state_set(rng, n)
+        if rng.random() < 0.5:  # canonical i <= j members only, as in a report
+            states = StateSet(4**n, np.triu(states.bits.reshape(2**n, 2**n)).reshape(-1))
+        folded = fold(states)
+        for got, want in zip(folded, folded_pairs(states, n)):
+            assert got.tolist() == want.tolist()
+        assert fold(states) is folded
+
+
+@pytest.mark.parametrize("block", [LISTING_BLOCK, 5])
+def test_report_writer_matches_json_dumps_on_mixed_documents(block, monkeypatch):
+    # With blocks of 5 entries, most listings are streamed in several blocks.
+    monkeypatch.setattr(cli, "LISTING_BLOCK", block)
+    rng = np.random.default_rng(185)
+    for k in range(60):
+        n = int(rng.integers(1, 5))
+        shared = _random_state_set(rng, n)
+        doc = {
+            "listing": shared,
+            "nested": {"deeper": [shared, {"again": shared, "other": _random_state_set(rng, n)}]},
+            "pair": (shared, StateSet.empty(4**n)),
+            "floats": [0.1, 1e-300, -2.5, 3.0, float(rng.random())],
+            "flags": [True, False, None],
+            "ints": [0, -3, 10**20, int(rng.integers(-100, 100))],
+            "text": ["plain", "é ü 日本", 'quote " backslash \\ tab \t newline \n', "\x7f\x00", ""],
+            'k"ey\\ é': {"": [], "empty": {}, "tuple": ()},
+        }
+        stream = io.StringIO()
+        cli.write_json(doc if k % 2 else [doc, shared], stream)
+        expected = _reference_doc(doc if k % 2 else [doc, shared], n)
+        assert stream.getvalue() == json.dumps(expected, indent=2) + "\n"

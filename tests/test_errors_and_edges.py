@@ -157,19 +157,15 @@ def test_sensor_search_needs_the_reports_own_model(apoptosis):
         global_min_sensors(report, other)
 
 
-def test_all_candidates_infeasible_raises(apoptosis, monkeypatch):
+def test_all_candidates_infeasible_raises(apoptosis):
+    from dataclasses import replace
+
     report = minimal_targets(apoptosis)
-    import pbn_minobs.sensors as sensors_mod
-
-    error = InfeasibleCoverError("nothing separates")
-
-    def always_infeasible(phi):
-        raise error
-
-    monkeypatch.setattr(sensors_mod, "min_cover", always_infeasible)
-    with pytest.raises(InfeasibleCoverError) as caught:
-        global_min_sensors(report, apoptosis)
-    assert caught.value is error
+    # Pair (1, 1) is diagonal: no measurement separates it, so no candidate has a cover.
+    diagonal = StateSet.from_indices(report.system.pair_count, [1])
+    broken = replace(report, candidates=tuple(c | diagonal for c in report.candidates))
+    with pytest.raises(InfeasibleCoverError, match="not separated by any state variable"):
+        global_min_sensors(broken, apoptosis)
 
 
 def test_single_node_network_end_to_end():

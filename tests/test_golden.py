@@ -6,22 +6,34 @@ S2`` and one ``simulate`` line were written by the program and checked in next
 to it; a model in ``REACH_CASES`` has only its ``reach --target S2`` stdout.
 A difference is a change of an answer or of the output format.  Commands run
 from ``tests/data`` with the bare file name, so the report's ``model.path`` is
-that name, and every ``timing`` value reads 0.0.
+that name, and every ``timing`` value reads 0.0.  ``anchor-search.sha256``
+holds the digests of the benchmark's 60 anchor_search reports.
 """
 
 import contextlib
+import hashlib
 import io
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pbn_minobs.cli import main
+from pbn_minobs.model import render_model
+
+from conftest import random_model
 
 DATA = Path(__file__).resolve().parent / "data"
 
 # Model name -> an output-equal pair for the simulate command.
-CASES = {"apoptosis": "1,4", "family-n4-seed13": "2,4", "zero-probs-n4": "7,11"}
+CASES = {
+    "apoptosis": "1,4",
+    "family-n4-seed13": "2,4",
+    "family-n5-seed7": "1,14",  # a cyclic component of 12 states
+    "family-n5-seed15": "1,3",  # 12 candidates; cyclic components of 10 and 3 states
+    "zero-probs-n4": "7,11",
+}
 
 # Models whose reach listings run past cli.BYTE_MATRIX_MIN entries; at n = 7
 # the pair indices run past 10^4, the first 4-digit chunk boundary.
@@ -72,3 +84,24 @@ def test_long_reach_listings_match_frozen_bytes(name, monkeypatch):
     code, out, err = _run("reach", f"{name}.pbn", "--target", "S2")
     assert (code, err) == (0, "")
     assert out == (DATA / f"{name}.reach.out").read_text(encoding="utf-8")
+
+
+def test_anchor_search_reports_match_frozen_digests(tmp_path, monkeypatch):
+    """The benchmark's 60 ``analyze --sensors --max-subset 14`` reports, by sha256.
+
+    The models are perfbench's anchor_search draw, ``GeneratedModel.draw(n, s)``
+    for n = 4, 5 and s = 0..29, rebuilt with ``random_model`` (the same draw
+    order); each report's stdout, timing zeroed, hashes to the frozen digest.
+    """
+    monkeypatch.chdir(tmp_path)
+    expected = dict(line.split() for line in (DATA / "anchor-search.sha256").read_text().splitlines())
+    digests = {}
+    for n in (4, 5):
+        for seed in range(30):
+            model = random_model(np.random.default_rng(seed), n=n, m=4, q=2, allow_zero_probs=False)
+            name = f"anchor-n{n}-{seed}.pbn"
+            Path(name).write_text(render_model(model), encoding="utf-8")
+            code, out, _ = _run("analyze", name, "--sensors", "--max-subset", 14)
+            assert code == 0, name
+            digests[name] = hashlib.sha256(TIMING.sub(r"\g<1>0.0", out).encode()).hexdigest()
+    assert digests == expected

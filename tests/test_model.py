@@ -18,7 +18,7 @@ from pbn_minobs import (
     structure_matrix,
 )
 from pbn_minobs.cli import EXIT_VALIDATION, main
-from pbn_minobs.model import Var
+from pbn_minobs.model import Const, Not, Var, assignment_table
 
 from conftest import (
     APOPTOSIS_H,
@@ -173,6 +173,61 @@ def test_direct_parse_of_a_too_deep_rule_names_its_column(rule):
     with pytest.raises(ModelFormatError) as err:
         parse_bool_expr(rule, 1, line=3, col_base=9)
     assert str(err.value) == "line 3, col 9: rule is nested too deeply to evaluate"
+
+
+def test_every_walk_of_a_rule_too_deep_to_walk_is_refused():
+    # The chain parses (its operators are read in a loop) but nests 999 levels deep.
+    expr = parse_bool_expr(DEEP_RULES["chain"][0], 1)
+    walks = {
+        "structure_matrix": lambda: structure_matrix(expr, 1),
+        "str": lambda: str(expr),
+        "max_var": expr.max_var,
+        "evaluate": lambda: expr.evaluate((1,)),
+        "table": lambda: expr.table(assignment_table(1)),
+    }
+    for name, walk in walks.items():
+        with pytest.raises(ModelFormatError) as err:
+            walk()
+        assert (str(err.value), err.value.line, err.value.col) == (
+            "rule is nested too deeply to evaluate", None, None
+        ), name
+
+
+REFERENCE_OPS = {
+    "&": lambda a, b: a and b,
+    "|": lambda a, b: a or b,
+    "^": lambda a, b: a != b,
+    "->": lambda a, b: (not a) or b,
+    "<->": lambda a, b: a == b,
+}
+
+
+def _reference_walks(expr, bits):
+    """(value on ``bits``, text, highest variable) of a rule, by plain recursion on its type."""
+    if isinstance(expr, Var):
+        return bool(bits[expr.index - 1]), f"x{expr.index}", expr.index
+    if isinstance(expr, Const):
+        return expr.value, "1" if expr.value else "0", 0
+    if isinstance(expr, Not):
+        value, text, top = _reference_walks(expr.arg, bits)
+        return not value, "!" + text, top
+    a, ta, ma = _reference_walks(expr.lhs, bits)
+    b, tb, mb = _reference_walks(expr.rhs, bits)
+    return REFERENCE_OPS[expr.op](a, b), f"({ta} {expr.op} {tb})", max(ma, mb)
+
+
+def test_walks_of_random_rules_match_plain_recursion():
+    rng = np.random.default_rng(4242)
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        expr = random_expr(rng, n, depth=int(rng.integers(1, 6)))
+        table = assignment_table(n)
+        expected = [_reference_walks(expr, row) for row in table]
+        assert [expr.evaluate(row) for row in table] == [int(v) for v, _, _ in expected]
+        assert expr.table(table).tolist() == [v for v, _, _ in expected]
+        assert str(expr) == expected[0][1]
+        assert expr.max_var() == expected[0][2]
+        assert structure_matrix(expr, n).col_index.tolist() == [1 if v else 2 for v, _, _ in expected]
 
 
 def test_deep_rules_below_the_limit_keep_their_matrices():

@@ -352,3 +352,55 @@ def test_min_size_matches_direct_measurement_search():
         assert {cover for _, cover in plan.optima} == answers
         checked += 1
     assert checked >= 100
+
+
+def test_cover_search_with_shared_values_matches_naive_enumeration():
+    # Values split at random into shared ones (tested once per size) and extras.
+    from pbn_minobs.sensors import _CoverSearch
+
+    rng = np.random.default_rng(181)
+    for _ in range(320):
+        n = int(rng.integers(1, 9))
+        values = rng.integers(1, 1 << n, int(rng.integers(1, 25)))
+        shared = rng.random(values.size) < 0.5
+        search = _CoverSearch(n, np.unique(values[shared]))
+        # Row m (variable m + 1) separates the values with bit n - 1 - m set.
+        masks = [sum(1 << c for c, v in enumerate(values.tolist()) if v >> (n - 1 - m) & 1) for m in range(n)]
+        assert search.covers(values[~shared]) == naive_min_covers(masks, values.size)
+        # The same search serves a second, unrelated set of extras.
+        extra = rng.integers(1, 1 << n, 3)
+        both = np.concatenate([values[shared], extra])
+        masks = [sum(1 << c for c, v in enumerate(both.tolist()) if v >> (n - 1 - m) & 1) for m in range(n)]
+        assert search.covers(extra) == naive_min_covers(masks, both.size)
+
+
+def test_min_cover_matches_naive_enumeration_on_many_grids():
+    rng = np.random.default_rng(182)
+    for _ in range(320):
+        rows = int(rng.integers(1, 11))
+        width = int(rng.integers(1, 40))
+        grid = rng.random((rows, width)) < rng.uniform(0.2, 0.7)
+        grid[rng.integers(rows, size=width), np.arange(width)] |= ~grid.any(axis=0)
+        phi = TruthMatrix(n=rows, column_states=tuple(range(2, 2 + width)), bits=grid)
+        assert min_cover(phi) == naive_min_covers(reference_row_masks(grid), width)
+
+
+def test_global_covers_equal_each_candidates_truth_matrix_cover():
+    rng = np.random.default_rng(183)
+    unobservable = 0
+    while unobservable < 200:
+        model = random_model(rng, n=int(rng.integers(2, 6)))
+        try:
+            report = minimal_targets(model, subset_cap=12)
+        except ResourceLimitError:
+            continue
+        if report.observable:
+            continue
+        plan = global_min_sensors(report, model)
+        assert [c.target for c in plan.per_candidate] == list(report.candidates)
+        for c in plan.per_candidate:
+            phi = truth_matrix(c.target, model.n)
+            assert c.covers == min_cover(phi)
+            assert c.covers == naive_min_covers(reference_row_masks(phi.bits), len(phi.column_states))
+            assert c.size == len(c.covers[0])
+        unobservable += 1
