@@ -47,7 +47,7 @@ from .stp import check_size
 DEFAULT_SUBSET_CAP = 20
 
 # Cycle-breaker subsets are tested in blocks whose temporaries hold at most
-# this many int64 entries (512 KB), so a component at any cap stays small.
+# this many mask entries (512 KB of int64), so a component at any cap stays small.
 BREAKER_BLOCK = 1 << 16
 
 
@@ -262,15 +262,17 @@ def _minimal_cycle_breakers(succ: list[int]) -> list[int]:
     subset of one size is skipped, all larger ones are.
     """
     size = len(succ)
-    bit = 1 << np.arange(size, dtype=np.int64)
-    heads = np.array(succ, dtype=np.int64)
+    # A mask of 64 or more vertices does not fit int64: such masks are Python ints.
+    dtype = np.int64 if size < 64 else object
+    bit = 1 << np.arange(size).astype(dtype)
+    heads = np.array(succ, dtype=dtype)
     everything = (1 << size) - 1
-    kept = np.zeros(0, dtype=np.int64)
+    kept = np.zeros(0, dtype=dtype)
     for r in range(1, size + 1):
         subsets = map(sum, combinations(bit.tolist(), r))
         rows = max(1, BREAKER_BLOCK // (size + kept.size))
         found, tried = [], False
-        while (chosen := np.fromiter(islice(subsets, rows), dtype=np.int64)).size:
+        while (chosen := np.fromiter(islice(subsets, rows), dtype=dtype)).size:
             if kept.size:
                 chosen = chosen[~((chosen[:, None] & kept) == kept).any(axis=1)]
             if chosen.size:

@@ -131,12 +131,9 @@ def build_report(
 
 
 def fold_once():
-    """A fold with the arrays of ``folded_pairs``, computed once per set object.
+    """:func:`folded_pairs` of a set, computed once per set object.
 
-    It reads the set's members instead of its 4^n grid: the sets of an
-    analysis report are sparse and hold canonical i < j pairs, and a member
-    (i, j) with i > j stands for its mirror.  Each set is held with its
-    arrays, so no other object takes its ``id``.
+    Each set is held with its arrays, so no other object takes its ``id``.
     """
     memo: dict[int, tuple] = {}
 
@@ -144,13 +141,7 @@ def fold_once():
         entry = memo.get(id(states))
         if entry is None:
             n = (states.universe.bit_length() - 1) // 2  # universe = 4^n = 2^(2n)
-            z = states.bits.nonzero()[0]
-            first, second = z >> n, z & ((1 << n) - 1)
-            lower = first > second
-            if lower.any():
-                z = np.union1d(z[~lower], second[lower] << n | first[lower])
-                first, second = z >> n, z & ((1 << n) - 1)
-            entry = memo[id(states)] = (states, (z + 1, first + 1, second + 1))
+            entry = memo[id(states)] = (states, folded_pairs(states, n))
         return entry[1]
 
     return fold

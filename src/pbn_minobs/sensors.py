@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import AnalysisReport, distinguishable_split
 from .errors import InfeasibleCoverError
-from .model import PbnModel, assignment_table
+from .model import PbnModel, Var, assignment_table, structure_matrix
 from .partition import StateSet, folded_pairs, pair_split, partition_states
 from .stp import LogicalMatrix, khatri_rao
 
@@ -32,8 +32,7 @@ def single_variable_output(m_idx: int, n: int) -> LogicalMatrix:
     """Output matrix of the measurement y = x_m: column k reads bit m of state k."""
     if not 1 <= m_idx <= n:
         raise ValueError(f"variable index {m_idx} out of range [1, {n}]")
-    # x_m of state k is 1 (row 1) exactly when bit n - m of k - 1 is clear.
-    return LogicalMatrix(2, 1 + (np.arange(1 << n) >> (n - m_idx) & 1))
+    return structure_matrix(Var(m_idx), n)
 
 
 def distinguishable_under(m_idx: int, n: int) -> StateSet:

@@ -493,6 +493,13 @@ def test_cycle_breakers_match_brute_force_feedback_vertex_sets():
         checked += 1
 
 
+@pytest.mark.parametrize("size", [63, 64, 70])
+def test_cycle_breakers_of_a_cycle_wider_than_an_int64_mask(size):
+    # Each single vertex breaks one long cycle; from 64 vertices on, masks are Python ints.
+    succ = [1 << (v + 1) % size for v in range(size)]
+    assert analysis._minimal_cycle_breakers(succ) == [1 << v for v in range(size)]
+
+
 def test_cycle_breakers_test_subsets_in_bounded_blocks(monkeypatch):
     # Blocks of a few subsets give the same answer as one block per size.
     rng = np.random.default_rng(19)
