@@ -130,6 +130,18 @@ def build_report(
     return doc
 
 
+def _fold(states: StateSet, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`folded_pairs` of a set, read from its members when none lies below the diagonal.
+
+    Every set that ``analyze`` lists is such a canonical set.
+    """
+    z = np.flatnonzero(states.bits)
+    first, second = z >> n, z & ((1 << n) - 1)
+    if (first <= second).all():
+        return z + 1, first + 1, second + 1
+    return folded_pairs(states, n)
+
+
 def fold_once():
     """:func:`folded_pairs` of a set, computed once per set object.
 
@@ -141,7 +153,7 @@ def fold_once():
         entry = memo.get(id(states))
         if entry is None:
             n = (states.universe.bit_length() - 1) // 2  # universe = 4^n = 2^(2n)
-            entry = memo[id(states)] = (states, folded_pairs(states, n))
+            entry = memo[id(states)] = (states, _fold(states, n))
         return entry[1]
 
     return fold

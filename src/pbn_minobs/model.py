@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -297,8 +297,12 @@ def structure_matrix(expr: BoolExpr, n: int) -> LogicalMatrix:
     """The unique 2 x 2^n logical matrix acting on x1 |x ... |x xn as ``expr`` does."""
     if expr.max_var() > n:
         raise ValueError(f"expression references x{expr.max_var()} but n = {n}")
-    values = expr.table(assignment_table(n))
-    return LogicalMatrix(2, np.where(values, 1, 2))
+    return _node_matrix(expr, assignment_table(n))
+
+
+def _node_matrix(expr: BoolExpr, table: np.ndarray) -> LogicalMatrix:
+    """The structure matrix of ``expr`` evaluated on an :func:`assignment_table`."""
+    return LogicalMatrix._own(2, np.where(expr.table(table), np.int64(1), np.int64(2)))
 
 
 def assemble_network(per_node) -> LogicalMatrix:
@@ -522,13 +526,14 @@ def parse_model(text: str) -> PbnModel:
             f"states: {n} needs a 2^{n}x{n} assignment table, exceeding the entry cap {cap}"
         )
 
-    size = 1 << n
+    # One truth table serves every rule; it is built for the first rule block.
+    table = cache(lambda: assignment_table(n))
     transitions = []
     for k in range(1, m_count + 1):
         block = nets.get(k)
         if block is None:
             raise ModelFormatError(f"missing [net {k}] section")
-        transitions.append(_finish_block(block, size, n, k, is_output=False, label=f"[net {k}]"))
+        transitions.append(_finish_block(block, n, table, k, is_output=False, label=f"[net {k}]"))
     extra = sorted(set(nets) - set(range(1, m_count + 1)))
     if extra:
         raise ModelFormatError(
@@ -538,7 +543,7 @@ def parse_model(text: str) -> PbnModel:
 
     if output_block is None:
         raise ModelFormatError("missing [output] section")
-    output = _finish_block(output_block, size, n, q, is_output=True, label="[output]")
+    output = _finish_block(output_block, n, table, q, is_output=True, label="[output]")
 
     try:
         return PbnModel(n=n, q=q, transitions=tuple(transitions), output=output, probs=probs)
@@ -549,8 +554,10 @@ def parse_model(text: str) -> PbnModel:
 
 
 def _finish_block(
-    block: _Block, size: int, n: int, count: int, is_output: bool, label: str
+    block: _Block, n: int, table, count: int, is_output: bool, label: str
 ) -> LogicalMatrix:
+    """The block's matrix; ``table()`` gives the model's :func:`assignment_table`."""
+    size = 1 << n
     if block.literal is not None:
         lit = block.literal
         if is_output:
@@ -580,13 +587,17 @@ def _finish_block(
         raise ModelFormatError(
             f"{label} is missing a rule for {name}{missing}", line=block.line
         )
-    per_node = []
+    truth, per_node = table(), []
     for i in range(1, expected + 1):
         try:
-            per_node.append(structure_matrix(block.rules[i], n))
+            per_node.append(_node_matrix(block.rules[i], truth))
         except ModelFormatError as exc:  # a rule too deep to walk
             raise ModelFormatError(exc.message, line=block.rule_lines[i]) from None
-    return assemble_network(per_node)
+    try:
+        return assemble_network(per_node)
+    except ValueError:  # an index past 2^63 wrapped in int64
+        message = f"{label} has {expected} rules: its 2^{expected} rows exceed 64-bit indices"
+        raise ModelFormatError(message, line=block.line) from None
 
 
 def parse_model_file(path) -> PbnModel:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import AnalysisReport, distinguishable_split
 from .errors import InfeasibleCoverError
-from .model import PbnModel, Var, assignment_table, structure_matrix
+from .model import PbnModel, assignment_table
 from .partition import StateSet, folded_pairs, pair_split, partition_states
 from .stp import LogicalMatrix, khatri_rao
 
@@ -32,7 +32,8 @@ def single_variable_output(m_idx: int, n: int) -> LogicalMatrix:
     """Output matrix of the measurement y = x_m: column k reads bit m of state k."""
     if not 1 <= m_idx <= n:
         raise ValueError(f"variable index {m_idx} out of range [1, {n}]")
-    return structure_matrix(Var(m_idx), n)
+    # Row 1 reads x_m = 1, which is bit n - m of k - 1 clear.
+    return LogicalMatrix._own(2, 1 + ((np.arange(1 << n, dtype=np.int64) >> (n - m_idx)) & 1))
 
 
 def distinguishable_under(m_idx: int, n: int) -> StateSet:

@@ -78,10 +78,20 @@ class LogicalMatrix:
             raise ValueError(f"column indices must lie in [1, {rows}]")
         if idx is col_index or idx.base is not None:
             idx = idx.copy()  # freezing below must not freeze the caller's array
+        self._set(rows, idx)
+
+    def _set(self, rows: int, idx: np.ndarray) -> None:
+        idx.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", int(idx.size))
-        idx.setflags(write=False)
         object.__setattr__(self, "col_index", idx)
+
+    @classmethod
+    def _own(cls, rows: int, idx: np.ndarray) -> "LogicalMatrix":
+        """Wrap fresh int64 indices, in [1, ``rows``] by construction, uncopied and unchecked."""
+        obj = object.__new__(cls)
+        obj._set(rows, idx)
+        return obj
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LogicalMatrix is immutable")
@@ -176,8 +186,12 @@ def khatri_rao(a, b):
     if isinstance(a, LogicalMatrix) and isinstance(b, LogicalMatrix):
         if a.cols != b.cols:
             raise ValueError(f"column counts differ: {a.cols} vs {b.cols}")
-        check_size(a.rows * b.rows, a.cols, "Khatri-Rao result")
-        return LogicalMatrix(a.rows * b.rows, (a.col_index - 1) * b.rows + b.col_index)
+        rows = a.rows * b.rows
+        check_size(rows, a.cols, "Khatri-Rao result")
+        idx = (a.col_index - 1) * b.rows + b.col_index
+        # Below 2^63 every index fits int64.  Past it an index may wrap; with
+        # 2-row factors the first one to pass 2^63 wraps below 1 and is refused.
+        return LogicalMatrix._own(rows, idx) if rows < 1 << 63 else LogicalMatrix(rows, idx)
     am = _as_2d(a)
     bm = _as_2d(b)
     if am.shape[1] != bm.shape[1]:

@@ -539,16 +539,28 @@ def _random_state_set(rng, n):
 def test_fold_once_matches_folded_pairs_and_folds_each_set_once(monkeypatch):
     from pbn_minobs.partition import folded_pairs
 
+    # Canonical (every member at i <= j), mirror-closed and mixed sets, n = 1-5.
     rng = np.random.default_rng(184)
-    sets = [_random_state_set(rng, n) for n in range(1, 6)]
-    calls = []
-    monkeypatch.setattr(cli, "folded_pairs", lambda s, n: calls.append(s) or folded_pairs(s, n))
+    sets = []
+    for k in range(330):
+        n = int(rng.integers(1, 6))
+        mixed = _random_state_set(rng, n)
+        size = 1 << n
+        upper = (np.arange(size)[:, None] <= np.arange(size)).reshape(-1)
+        sets.append((n, (mixed, StateSet(4**n, mixed.bits & upper), mirror_close(mixed, n))[k % 3]))
+    folds, fallbacks = [], []
+    seam = cli._fold
+    monkeypatch.setattr(cli, "_fold", lambda s, n: folds.append(s) or seam(s, n))
+    monkeypatch.setattr(cli, "folded_pairs", lambda s, n: fallbacks.append(s) or folded_pairs(s, n))
     fold = cli.fold_once()
     for _ in range(2):
-        for n, states in enumerate(sets, start=1):
+        for n, states in sets:
             for got, want in zip(fold(states), folded_pairs(states, n)):
                 assert got.tolist() == want.tolist()
-    assert [id(s) for s in calls] == [id(s) for s in sets]
+    assert [id(s) for s in folds] == [id(s) for _, s in sets]
+    # Only a set with a member below the diagonal goes through the grid fold.
+    below = [s for n, s in sets if np.tril(s.bits.reshape(1 << n, 1 << n), -1).any()]
+    assert [id(s) for s in fallbacks] == [id(s) for s in below]
 
 
 @pytest.mark.parametrize("block", [LISTING_BLOCK, 5])

@@ -20,6 +20,7 @@ from pbn_minobs import (
     stp,
     structure_matrix,
 )
+from pbn_minobs.cli import EXIT_RESOURCE, EXIT_VALIDATION, main
 from pbn_minobs.model import Var
 from pbn_minobs.stp import dimension_cap
 
@@ -87,6 +88,33 @@ def test_assignment_table_checked_against_dimension_cap(monkeypatch):
     assert parse_model(text).n == 3
     with pytest.raises(ResourceLimitError, match="entry cap 4096"):
         parse_model(BASE.replace("states: 1", "states: 100000000000000000000"))
+
+
+def test_rule_form_n14_is_refused_at_the_khatri_rao_cap(tmp_path, monkeypatch, capsys):
+    # Its 2^14 x 14 assignment table is under the default cap; the network matrix is not.
+    monkeypatch.delenv("PBN_MINOBS_MAX_DIM", raising=False)
+    rules = "".join(f"x{i}' = x{i}\n" for i in range(1, 15))
+    path = tmp_path / "n14.pbn"
+    path.write_text(BASE.replace("states: 1", "states: 14").replace("x1' = x1\n", rules))
+    assert main(["validate", str(path)]) == EXIT_RESOURCE
+    assert capsys.readouterr().err == (
+        "resource limit: Khatri-Rao result of size 8192x16384 exceeds the entry cap 67108864 "
+        "(override with PBN_MINOBS_MAX_DIM)\n"
+    )
+
+
+def test_output_indices_past_int64_are_refused_with_the_block_line(tmp_path, monkeypatch, capsys):
+    # 2^70 x 2 entries pass this cap, but column 2 of y1..y70 = x1 is delta_{2^70}^{2^70}.
+    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", str(10**24))
+    rules = "".join(f"y{j} = x1\n" for j in range(1, 71))
+    path = tmp_path / "out70.pbn"
+    path.write_text(BASE.replace("outputs: 1", "outputs: 70").replace("y1 = x1\n", rules))
+    message = "[output] has 70 rules: its 2^70 rows exceed 64-bit indices"
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(path.read_text())
+    assert (err.value.line, err.value.message) == (7, message)
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: line 7: {message}\n"
 
 
 def test_section_before_states_rejected():

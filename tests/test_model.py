@@ -1,4 +1,5 @@
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from pbn_minobs import (
     structure_matrix,
 )
 from pbn_minobs.cli import EXIT_VALIDATION, main
-from pbn_minobs.model import Const, Not, Var, assignment_table
+from pbn_minobs.model import BinOp, Const, Not, Var, assignment_table
+from pbn_minobs.sensors import extend_output, single_variable_output
 
 from conftest import (
     APOPTOSIS_H,
@@ -287,6 +289,68 @@ def test_assemble_reproduces_vector_function_pointwise():
             bits = decode_state(k, n)
             image_bits = tuple(e.evaluate(bits) for e in exprs)
             assert net.column(k) == encode_state(image_bits)
+
+
+def reference_khatri_rao(a, b):
+    """Column-wise Kronecker product of two logical matrices through the checking constructor."""
+    return LogicalMatrix(a.rows * b.rows, (a.col_index - 1) * b.rows + b.col_index)
+
+
+def reference_matrix(exprs, n):
+    """Per-node matrices by pointwise evaluation, folded by :func:`reference_khatri_rao`."""
+    states = [decode_state(k, n) for k in range(1, (1 << n) + 1)]
+    per_node = [LogicalMatrix(2, [1 if e.evaluate(b) else 2 for b in states]) for e in exprs]
+    return reduce(reference_khatri_rao, per_node)
+
+
+def _operators(expr, seen):
+    """Collect the operators and constants of ``expr`` into ``seen``."""
+    if isinstance(expr, Const):
+        seen.add(str(expr))
+    elif isinstance(expr, Not):
+        seen.add("!")
+        _operators(expr.arg, seen)
+    elif isinstance(expr, BinOp):
+        seen.add(expr.op)
+        _operators(expr.lhs, seen)
+        _operators(expr.rhs, seen)
+    return seen
+
+
+def test_parsed_rule_models_match_checked_khatri_rao_folds():
+    rng = np.random.default_rng(19)
+    seen = set()
+    for _ in range(320):
+        n, m, q = int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        nets = [[random_expr(rng, n) for _ in range(n)] for _ in range(m)]
+        outputs = [random_expr(rng, n) for _ in range(q)]
+        lines = [f"states: {n}", f"outputs: {q}", f"subnetworks: {m}", "p: 1" + " 0" * (m - 1)]
+        for k, rules in enumerate(nets, start=1):
+            lines += [f"[net {k}]"] + [f"x{i}' = {e}" for i, e in enumerate(rules, start=1)]
+        lines += ["[output]"] + [f"y{j} = {e}" for j, e in enumerate(outputs, start=1)]
+        model = parse_model("\n".join(lines) + "\n")
+        expected = [reference_matrix(rules, n) for rules in nets] + [reference_matrix(outputs, n)]
+        for got, want in zip(model.transitions + (model.output,), expected):
+            assert got == want
+            assert got.col_index.dtype == np.int64 and not got.col_index.flags.writeable
+        for e in (*outputs, *(e for rules in nets for e in rules)):
+            _operators(e, seen)
+    assert seen == {"!", "&", "|", "^", "->", "<->", "0", "1"}
+
+
+def test_measurement_outputs_match_checked_khatri_rao_folds():
+    rng = np.random.default_rng(20)
+    for n in range(1, 9):
+        for m in range(1, n + 1):
+            reading = single_variable_output(m, n)
+            assert reading == structure_matrix(Var(m), n) == reference_matrix([Var(m)], n)
+        for _ in range(4):
+            model = random_model(rng, n=n, q=int(rng.integers(1, 4)))
+            added = tuple(int(v) for v in rng.integers(1, n + 1, int(rng.integers(1, 4))))
+            extended = extend_output(model, added)
+            readings = [reference_matrix([Var(v)], n) for v in added]
+            assert extended.output == reduce(reference_khatri_rao, [model.output] + readings)
+            assert (extended.q, extended.transitions) == (model.q + len(added), model.transitions)
 
 
 def test_state_coding_examples():
