@@ -24,7 +24,6 @@ from .model import PbnModel, parse_model_file
 from .partition import (
     Partition,
     StateSet,
-    folded_indices,
     folded_pairs,
     mirror_close,
     mirror_index,
@@ -41,7 +40,7 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_RESOURCE = 4
 
-# Entry count from which _fmt_pairs writes a listing from the digit-word table;
+# Entry count from which _write_pairs writes a listing from the digit-word table;
 # below it, one str.format call per entry is faster.
 BYTE_MATRIX_MIN = 200
 
@@ -51,8 +50,9 @@ BYTE_MATRIX_MIN = 200
 # (2-core VM, numpy 2.4), at the same speed.
 LISTING_BLOCK = 1 << 14
 
-# The literal text after each of an entry's three numbers, as table words.
-PAIR_LITERALS = np.frombuffer(b"=(\0\0,\0\0\0), \0", dtype=np.uint32)
+# The literal text after each of an entry's three numbers, then the text that
+# ends the last entry of a listing, as table words.
+PAIR_LITERALS = np.frombuffer(b"=(\0\0,\0\0\0), \0)}\0\0", dtype=np.uint32)
 
 # One pair-listing entry as ``json.dumps(..., indent=2)`` lays it out at depth
 # 0: the text before the index, between the index and i, between i and j, and
@@ -130,15 +130,19 @@ def build_report(
     return doc
 
 
+def _pair_columns(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """1-based (index, i, j) arrays of the 0-based pair indices ``z``."""
+    return z + 1, (z >> n) + 1, (z & ((1 << n) - 1)) + 1
+
+
 def _fold(states: StateSet, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`folded_pairs` of a set, read from its members when none lies below the diagonal.
 
     Every set that ``analyze`` lists is such a canonical set.
     """
-    z = np.flatnonzero(states.bits)
-    first, second = z >> n, z & ((1 << n) - 1)
-    if (first <= second).all():
-        return z + 1, first + 1, second + 1
+    columns = _pair_columns(np.flatnonzero(states.bits), n)
+    if (columns[1] <= columns[2]).all():
+        return columns
     return folded_pairs(states, n)
 
 
@@ -260,21 +264,23 @@ def _digit_words() -> np.ndarray:
     return chars.reshape(-1, 4).view(np.uint32).ravel()
 
 
-def _fmt_pairs(z: np.ndarray, i: np.ndarray, j: np.ndarray) -> str:
-    """``{z=(i,j), ...}`` for the folded arrays of one pair listing (positive values).
+def _write_pairs(write, z: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
+    """Write ``{z=(i,j), ...}`` for the folded arrays of one pair listing (positive values).
 
     A listing of at least ``BYTE_MATRIX_MIN`` entries is written as rows of
     ``uint32`` words, one row per entry: each number in 4-digit chunks from
     :func:`_digit_words`, zero-padded below its leading chunk, with the
     literal words between the numbers.  Dropping the NUL bytes leaves the
-    text.  Rows go in blocks of ``LISTING_BLOCK`` entries.
+    text.  Rows go to ``write`` in blocks of ``LISTING_BLOCK`` entries, so no
+    listing is held whole.
     """
     if z.size < BYTE_MATRIX_MIN:
-        return "{" + ", ".join(map("{}=({},{})".format, z.tolist(), i.tolist(), j.tolist())) + "}"
+        write("{" + ", ".join(map("{}=({},{})".format, z.tolist(), i.tolist(), j.tolist())) + "}")
+        return
     words = _digit_words()
     fields = (z, i, j)
     chunks = [-(-len(str(values.max())) // 4) for values in fields]
-    parts = ["{"]
+    write("{")
     for start in range(0, z.size, LISTING_BLOCK):
         rows = np.empty((min(LISTING_BLOCK, z.size - start), sum(chunks) + 3), dtype=np.uint32)
         col = 0
@@ -288,8 +294,15 @@ def _fmt_pairs(z: np.ndarray, i: np.ndarray, j: np.ndarray) -> str:
             rows[:, col] = words[rest]
             rows[:, col + count] = literal
             col += count + 1
-        parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
-    parts[-1] = parts[-1][:-2] + "}"
+        if start + LISTING_BLOCK >= z.size:
+            rows[-1, -1] = PAIR_LITERALS[-1]  # the last entry closes the listing
+        write(rows.tobytes().translate(None, b"\0").decode("ascii"))
+
+
+def _fmt_pairs(z: np.ndarray, i: np.ndarray, j: np.ndarray) -> str:
+    """The text that :func:`_write_pairs` writes for one listing."""
+    parts: list[str] = []
+    _write_pairs(parts.append, z, i, j)
     return "".join(parts)
 
 
@@ -363,9 +376,10 @@ def write_s1_graph(path, aug: AugmentedSystem, part: Partition) -> None:
 
 
 def _parse_target(spec: str, part: Partition, n: int, universe: int) -> StateSet:
+    """The i <= j half of a ``reach`` target: an S0/S1/S2 part, or listed pairs as (min, max)."""
     name = spec.strip().lower()
     if name in ("s0", "s1", "s2"):
-        return mirror_close(getattr(part, name), n)
+        return getattr(part, name)
     try:
         indices = [int(tok) for tok in spec.replace(",", " ").split()]
     except ValueError:
@@ -375,7 +389,10 @@ def _parse_target(spec: str, part: Partition, n: int, universe: int) -> StateSet
     for k in indices:
         if not 1 <= k <= universe:
             raise ValueError(f"target index {k} out of range [1, {universe}]")
-    return mirror_close(StateSet.from_indices(universe, indices), n)
+    z = np.array(indices) - 1
+    first, second = z >> n, z & ((1 << n) - 1)
+    low, high = np.minimum(first, second), np.maximum(first, second)
+    return StateSet.from_indices(universe, (low << n | high) + 1)
 
 
 def _parse_pair(spec: str) -> tuple[int, int]:
@@ -430,17 +447,22 @@ def cmd_analyze(args) -> int:
 def cmd_reach(args) -> int:
     model = parse_model_file(args.path)
     aug = build_augmented(model)
-    part = partition_states(model)
-    target = _parse_target(args.target, part, model.n, aug.pair_count)
-    result = robust_reach(target, aug)
     n = model.n
-    print(f"target ({len(target)} states, mirror-closed): "
-          f"{_fmt_pairs(*folded_pairs(target, n))}")
-    # Every layer is mirror-closed: so is the target, and the pair dynamics are symmetric.
+    canonical = _parse_target(args.target, partition_states(model), n, aug.pair_count)
+    target = mirror_close(canonical, n)
+    result = robust_reach(target, aug)
+    # Each listing is an i <= j half, read from an ascending index array: the
+    # union's is the layers' together.
+    write = sys.stdout.write
+    write(f"target ({len(target)} states, mirror-closed): ")
+    _write_pairs(write, *_pair_columns(np.flatnonzero(canonical.bits), n))
     for step, layer in enumerate(result.layers, start=1):
-        print(f"layer {step}: {_fmt_pairs(*folded_indices(layer, n))}")
-    print(f"union ({len(result.union)} states in {result.steps} layers): "
-          f"{_fmt_pairs(*folded_pairs(result.union, n))}")
+        write(f"\nlayer {step}: ")
+        _write_pairs(write, *_pair_columns(layer, n))
+    write(f"\nunion ({len(result.union)} states in {result.steps} layers): ")
+    union = np.sort(np.concatenate((np.empty(0, np.intp), *result.layers)))
+    _write_pairs(write, *_pair_columns(union, n))
+    write("\n")
     return EXIT_OK
 
 

@@ -182,13 +182,6 @@ def folded_pairs(s: StateSet, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return z + 1, (z >> n) + 1, (z & ((1 << n) - 1)) + 1
 
 
-def folded_indices(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`folded_pairs` of a mirror-closed set given by its ascending 0-based indices."""
-    first, second = z >> n, z & ((1 << n) - 1)
-    keep = np.flatnonzero(first <= second)  # an index array: faster than a bool mask
-    return z[keep] + 1, first[keep] + 1, second[keep] + 1
-
-
 # ---------------------------------------------------------------------------
 # The output-based partition
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from .partition import StateSet
 class ReachResult:
     """Per-step layers of newly arriving states plus their union.
 
-    Each layer is an ascending int64 array of 0-based pair indices; the layer
-    sizes add up to ``len(union)``.
+    Each layer is an ascending int64 array of the 0-based indices of the i <= j
+    pairs arriving at that step; ``union`` is mirror-closed.
     """
 
     layers: tuple[np.ndarray, ...]
@@ -44,6 +44,10 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
     and the target itself count as arrived; iteration stops at the first
     empty layer.
 
+    ``target`` must be mirror-closed (``ValueError`` otherwise): a pair and its
+    mirror then arrive together, so only the i <= j pairs are pending, each
+    arriving pair marks its mirror too, and a layer lists the i <= j half.
+
     Each pending state watches one successor, as SAT solvers watch literals:
     first its row-0 successor, later the first successor in row order that
     had not arrived when the state was last tested.  A layer reads each
@@ -55,17 +59,29 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
     """
     if target.universe != aug.pair_count:
         raise ValueError("state sets must live in the augmented pair space")
-    sentinel = aug.pair_count
+    n = aug.model.n
+    size = 1 << n
+    sentinel = size * size
+    ranks = np.arange(size)
+    pending = ranks[:, None] <= ranks
+    np.greater(pending, target.bits.reshape(size, size), out=pending)
+    pending = pending.reshape(-1).nonzero()[0]  # the i <= j pairs outside the target
+    mirror = ((pending & (size - 1)) << n) | (pending >> n)
+    # The target is mirror-closed exactly when no mirror of a pending pair is in
+    # it and it misses no other pair: the 2 |pending| - (diagonal pending) ones.
+    outside = 2 * pending.size - np.count_nonzero(mirror == pending)
+    if target.bits[mirror].any() or np.count_nonzero(target.bits) != sentinel - outside:
+        raise ValueError("the target of a robust reach must be mirror-closed")
     arrived = np.zeros(sentinel + 1, dtype=bool)
     arrived[:sentinel] = target.bits
-    pending = np.flatnonzero(~target.bits)
     watch = aug.successors(pending, slice(1))[0]
     gone = 0  # pending states that have arrived
     layers: list[np.ndarray] = []
     # Subsets are taken through index arrays: numpy's boolean-mask selection
-    # is several times slower on masks with a random pattern.
+    # is several times slower on masks with a random pattern.  A 1-D mask's
+    # ``nonzero`` skips the microseconds of ``np.flatnonzero``'s wrappers.
     for _ in range(pending.size):  # a layer takes at least one pending state
-        ready = np.flatnonzero(arrived[watch])  # positions in ``pending``
+        ready = arrived[watch].nonzero()[0]  # positions in ``pending``
         if not ready.size:
             break
         layer = pending[ready]
@@ -73,17 +89,18 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
         inside = arrived[succ]
         # The first successor not yet arrived (row 0 where all have: those pass).
         watch[ready] = succ[inside.argmin(axis=0), np.arange(layer.size)]
-        keep = np.flatnonzero(inside.all(axis=0))
+        keep = inside.all(axis=0).nonzero()[0]
         if not keep.size:
             break
         ready, layer = ready[keep], layer[keep]
         watch[ready] = sentinel
         arrived[layer] = True
+        arrived[mirror[ready]] = True
         layers.append(layer)
         gone += layer.size
         if 2 * gone >= pending.size:
-            keep = np.flatnonzero(watch != sentinel)
-            pending, watch, gone = pending[keep], watch[keep], 0
+            keep = (watch != sentinel).nonzero()[0]
+            pending, mirror, watch, gone = pending[keep], mirror[keep], watch[keep], 0
     union = arrived[:sentinel]
     union &= ~target.bits
     return ReachResult(layers=tuple(layers), union=StateSet._own(union), steps=len(layers))

@@ -169,12 +169,21 @@ def stp(a, b) -> np.ndarray:
     return left @ right
 
 
+def _logical_rows(a: LogicalMatrix, b: LogicalMatrix, cols: int, what: str) -> int:
+    """Rows of a logical product with ``cols`` columns: within the cap, below 2^63 (int64 wraps)."""
+    rows = a.rows * b.rows
+    check_size(rows, cols, what)
+    if rows >= 1 << 63:
+        raise ValueError(f"{what} of {rows} rows exceeds 64-bit indices")
+    return rows
+
+
 def kron(a, b):
     """Kronecker product; logical times logical stays logical."""
     if isinstance(a, LogicalMatrix) and isinstance(b, LogicalMatrix):
-        check_size(a.rows * b.rows, a.cols * b.cols, "Kronecker result")
+        rows = _logical_rows(a, b, a.cols * b.cols, "Kronecker result")
         combined = ((a.col_index - 1) * b.rows)[:, None] + b.col_index[None, :]
-        return LogicalMatrix(a.rows * b.rows, combined.ravel())
+        return LogicalMatrix._own(rows, combined.ravel())
     am = _as_2d(a)
     bm = _as_2d(b)
     check_size(am.shape[0] * bm.shape[0], am.shape[1] * bm.shape[1], "Kronecker result")
@@ -186,12 +195,8 @@ def khatri_rao(a, b):
     if isinstance(a, LogicalMatrix) and isinstance(b, LogicalMatrix):
         if a.cols != b.cols:
             raise ValueError(f"column counts differ: {a.cols} vs {b.cols}")
-        rows = a.rows * b.rows
-        check_size(rows, a.cols, "Khatri-Rao result")
-        idx = (a.col_index - 1) * b.rows + b.col_index
-        # Below 2^63 every index fits int64.  Past it an index may wrap; with
-        # 2-row factors the first one to pass 2^63 wraps below 1 and is refused.
-        return LogicalMatrix._own(rows, idx) if rows < 1 << 63 else LogicalMatrix(rows, idx)
+        rows = _logical_rows(a, b, a.cols, "Khatri-Rao result")
+        return LogicalMatrix._own(rows, (a.col_index - 1) * b.rows + b.col_index)
     am = _as_2d(a)
     bm = _as_2d(b)
     if am.shape[1] != bm.shape[1]:

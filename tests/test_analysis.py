@@ -447,10 +447,13 @@ def test_warm_started_reaches_equal_cold_ones():
             warm = analysis._warm_reach(widened, report.core_reach, aug)
             assert warm == robust_reach(widened, aug).union
             checked["widened"] += 1
-        # Any nested pair of targets, mirror-closed or not.
+        # Any nested pair of mirror-closed targets.
         pairs = aug.pair_count
-        small = StateSet.from_indices(pairs, rng.integers(1, pairs + 1, size=pairs // 8 + 1))
-        big = small | StateSet.from_indices(pairs, rng.integers(1, pairs + 1, size=pairs // 8 + 1))
+        small_raw = StateSet.from_indices(pairs, rng.integers(1, pairs + 1, size=pairs // 8 + 1))
+        small = mirror_close(small_raw, n)
+        big = small | mirror_close(
+            StateSet.from_indices(pairs, rng.integers(1, pairs + 1, size=pairs // 8 + 1)), n
+        )
         start = robust_reach(small, aug).union
         assert analysis._warm_reach(big, start, aug) == robust_reach(big, aug).union
         checked["nested"] += bool(start - big)

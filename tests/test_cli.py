@@ -410,9 +410,10 @@ def _check_analyze(capsys, path, model):
     return "unobservable"
 
 
-def _check_reach(capsys, path, model):
+def _check_reach(capsys, path, model, spec="S2", target=None):
+    """Run ``reach --target spec`` and compare it with the references; ``target`` defaults to S2."""
     n = model.n
-    target = mirror_close(partition_states(model).s2, n)
+    target = mirror_close(partition_states(model).s2 if target is None else target, n)
     aug = build_augmented(model)
     result = robust_reach(target, aug)
     layers = [StateSet.from_indices(aug.pair_count, layer + 1) for layer in result.layers]
@@ -421,7 +422,7 @@ def _check_reach(capsys, path, model):
                  for step, layer in enumerate(layers, start=1)]
     expected.append(f"union ({len(result.union)} states in {result.steps} layers): "
                     f"{_reference_fmt(result.union, n)}")
-    assert run(capsys, "reach", path, "--target", "S2") == (EXIT_OK, "\n".join(expected) + "\n", "")
+    assert run(capsys, "reach", path, "--target", spec) == (EXIT_OK, "\n".join(expected) + "\n", "")
 
 
 def test_bundled_report_and_listings_match_references(capsys, apoptosis):
@@ -442,6 +443,19 @@ def test_random_reports_and_listings_match_references(capsys, tmp_path, n):
             _check_reach(capsys, path, model)
     # Random models above n = 4 are seldom observable.
     assert {"observable", "unobservable"} <= seen if n <= 4 else "unobservable" in seen
+
+
+def test_reach_lists_index_targets_by_their_mirror_closure(capsys, tmp_path):
+    # Listed pairs on either side of the diagonal, repeated, or both halves of one.
+    rng = np.random.default_rng(2028)
+    for k in range(30):
+        model = random_model(rng, n=int(rng.integers(1, 6)))
+        path = tmp_path / f"model-{k}.pbn"
+        path.write_text(render_model(model), encoding="utf-8")
+        pairs = 4**model.n
+        raw = rng.integers(1, pairs + 1, size=int(rng.integers(1, pairs // 3 + 2)))
+        spec = ", ".join(map(str, raw.tolist()))
+        _check_reach(capsys, path, model, spec, StateSet.from_indices(pairs, raw))
 
 
 def _plain_fmt(z, i, j):
@@ -474,6 +488,68 @@ def test_pair_formatter_matches_plain_join(monkeypatch, shortest):
         assert cli._fmt_pairs(z, i, j) == _plain_fmt(z, i, j)
     nothing = np.array([], dtype=np.int64)
     assert cli._fmt_pairs(nothing, nothing, nothing) == "{}"
+
+
+def _written_pairs(z, i, j):
+    """The calls :func:`cli._write_pairs` makes to its ``write``."""
+    writes = []
+    cli._write_pairs(writes.append, z, i, j)
+    return writes
+
+
+def _sorted_listing(rng, size):
+    z = np.sort(rng.integers(1, 4**12, size))
+    return z, rng.integers(1, 20_000, size), rng.integers(1, 2**12 + 1, size)
+
+
+def test_block_writer_matches_plain_join():
+    rng = np.random.default_rng(19)
+    for size in (0, 1, BYTE_MATRIX_MIN - 1, BYTE_MATRIX_MIN):
+        z, i, j = _sorted_listing(rng, size)
+        writes = _written_pairs(z, i, j)
+        assert "".join(writes) == _plain_fmt(z, i, j)
+        assert len(writes) == (1 if size < BYTE_MATRIX_MIN else 2)
+
+
+@pytest.mark.parametrize("shortest", [1, BYTE_MATRIX_MIN])
+def test_block_writer_matches_plain_join_across_block_edges(monkeypatch, shortest):
+    monkeypatch.setattr(cli, "LISTING_BLOCK", 5)
+    monkeypatch.setattr(cli, "BYTE_MATRIX_MIN", shortest)
+    rng = np.random.default_rng(20)
+    for size in range(shortest, shortest + 12):
+        z, i, j = _sorted_listing(rng, size)
+        writes = _written_pairs(z, i, j)
+        assert "".join(writes) == _plain_fmt(z, i, j)
+        assert len(writes) == 1 + -(-size // 5)  # the opening brace, then one per block
+        assert cli._fmt_pairs(z, i, j) == _plain_fmt(z, i, j)
+
+
+def test_reach_streams_its_listings_without_the_grid_fold(capsys, monkeypatch, tmp_path):
+    # An n = 8 model with four output values: its S2 half holds more than
+    # LISTING_BLOCK pairs, so the target listing goes out in several writes.
+    model = random_model(np.random.default_rng(21), n=8, m=4, q=2, allow_zero_probs=False)
+    path = tmp_path / "n8.pbn"
+    path.write_text(render_model(model), encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("reach folded a set over the pair grid")
+
+    monkeypatch.setattr(cli, "folded_pairs", refuse)
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(cli.sys, "stdout", Recorder())
+    assert main(["reach", str(path), "--target", "S2"]) == EXIT_OK
+    monkeypatch.undo()
+    assert len(partition_states(model).s2) > LISTING_BLOCK
+    target_writes = writes[1 : writes.index("\nlayer 1: ")]
+    assert len(target_writes) > 2
+    assert "".join(target_writes).count("=(") == len(partition_states(model).s2)
+    _check_reach(capsys, path, model)  # the same bytes as the references
+    assert "".join(writes) == run(capsys, "reach", path, "--target", "S2")[1]
 
 
 @pytest.mark.parametrize("n", [9, 12])

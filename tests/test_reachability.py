@@ -69,7 +69,7 @@ def test_layers_are_disjoint_and_exclude_target(apoptosis):
         assert layer.isdisjoint(target)
         assert layer.isdisjoint(seen)
         seen = seen | layer
-    assert seen == result.union
+    assert seen == _canonical(result.union, 3)
 
 
 def test_single_subnetwork_degenerates_to_orbit_basin():
@@ -150,7 +150,7 @@ def test_escaping_branch_excludes_predecessors():
     aug = build_augmented(model)
     z = pair_index(1, 2, 2)
     assert aug.q_matrix.entry(z, z) == pytest.approx(0.5)
-    union = robust_reach(StateSet.from_indices(16, [z]), aug).union
+    union = robust_reach(mirror_close(StateSet.from_indices(16, [z]), 2), aug).union
     assert pair_index(1, 4, 2) not in union
     assert pair_index(1, 3, 2) not in union
     assert not union
@@ -167,10 +167,26 @@ def _reference_layers(target, aug):
         arrived = arrived | layer
 
 
+def _canonical(states, n):
+    """The i <= j half of ``states``."""
+    size = 1 << n
+    upper = np.arange(size)[:, None] <= np.arange(size)
+    return StateSet(states.universe, states.bits & upper.reshape(-1))
+
+
+def _canonical_layer(layer, n):
+    """The i <= j half of an ascending array of 0-based pair indices."""
+    return layer[(layer >> n) <= (layer & ((1 << n) - 1))]
+
+
 def _check_layers(target, aug):
-    """Assert that ``robust_reach`` gives the reference layers; return its result."""
+    """Assert that ``robust_reach`` gives the canonical halves of the reference layers.
+
+    Returns its result.
+    """
+    n = aug.model.n
     result = robust_reach(target, aug)
-    expected = _reference_layers(target, aug)
+    expected = [_canonical_layer(ref, n) for ref in _reference_layers(target, aug)]
     assert result.steps == len(result.layers) == len(expected)
     seen = target.bits.copy()
     for layer, ref in zip(result.layers, expected):
@@ -179,8 +195,9 @@ def _check_layers(target, aug):
         assert layer.size and (np.diff(layer) > 0).all()
         assert not seen[layer].any()
         seen[layer] = True
-    assert sum(layer.size for layer in result.layers) == len(result.union)
-    assert result.union == StateSet(aug.pair_count, seen) - target
+    canonical_union = _canonical(result.union, n)
+    assert sum(layer.size for layer in result.layers) == len(canonical_union)
+    assert canonical_union == StateSet(aug.pair_count, seen) - target
     return result
 
 
@@ -194,7 +211,7 @@ def test_layers_match_one_step_sweeps_on_random_models():
         raw = rng.integers(1, pairs + 1, size=int(rng.integers(1, pairs // 4 + 2)))
         targets = [
             mirror_close(partition_states(model).s2, model.n),
-            StateSet.from_indices(pairs, raw),  # seldom mirror-closed
+            mirror_close(StateSet.from_indices(pairs, raw), model.n),
         ]
         for target in targets:
             layered += bool(_check_layers(target, aug).steps)
@@ -229,7 +246,7 @@ def test_layers_with_one_positive_probability_row():
         pairs = aug.pair_count
         raw = rng.integers(1, pairs + 1, size=int(rng.integers(1, pairs // 4 + 2)))
         for target in (mirror_close(partition_states(model).s2, model.n),
-                       StateSet.from_indices(pairs, raw)):
+                       mirror_close(StateSet.from_indices(pairs, raw), model.n)):
             layered += bool(_check_layers(target, aug).steps)
     assert layered >= 50
 
@@ -249,7 +266,7 @@ def test_layers_with_zero_probability_subnetworks():
         pairs = aug.pair_count
         raw = rng.integers(1, pairs + 1, size=int(rng.integers(1, pairs // 4 + 2)))
         for target in (mirror_close(partition_states(model).s2, model.n),
-                       StateSet.from_indices(pairs, raw)):
+                       mirror_close(StateSet.from_indices(pairs, raw), model.n)):
             layered += bool(_check_layers(target, aug).steps)
             assert robust_reach(target, aug).union == robust_reach_oracle(target, zeroed)
     assert layered >= 50
@@ -282,15 +299,74 @@ def test_layers_from_the_maps_match_a_stored_successor_array():
         pairs = aug.pair_count
         raw = rng.integers(1, pairs + 1, size=int(rng.integers(1, pairs // 4 + 2)))
         for target in (mirror_close(partition_states(model).s2, model.n),
-                       StateSet.from_indices(pairs, raw)):
+                       mirror_close(StateSet.from_indices(pairs, raw), model.n)):
             result = robust_reach(target, aug)
             expected = _stored_array_layers(target, model)
             assert len(result.layers) == len(expected)
             for layer, ref in zip(result.layers, expected):
-                assert np.array_equal(layer, ref)
+                assert np.array_equal(layer, _canonical_layer(ref, model.n))
             assert result.union == robust_reach_oracle(target, model)
             layered += bool(result.steps)
     assert layered >= 200
+
+
+def test_quotient_reach_matches_both_references_on_random_models():
+    # Every layer is the i <= j half of the full-space layer, by one-step sweeps
+    # and by a stored successor array; the union is the oracle's.
+    rng = np.random.default_rng(2020)
+    seen = {"one row": 0, "zero probability": 0, "layered": 0}
+    for t in range(320):
+        model = random_model(rng, n=1 + t % 6, m=1 if t % 5 == 0 else int(rng.integers(2, 5)))
+        aug = build_augmented(model)
+        seen["one row"] += aug.maps.shape[0] == 1
+        seen["zero probability"] += aug.maps.shape[0] < model.m
+        pairs = aug.pair_count
+        raw = rng.integers(1, pairs + 1, size=int(rng.integers(1, pairs // 4 + 2)))
+        for target in (mirror_close(partition_states(model).s2, model.n),
+                       mirror_close(StateSet.from_indices(pairs, raw), model.n)):
+            result = robust_reach(target, aug)
+            for references in (_reference_layers(target, aug), _stored_array_layers(target, model)):
+                assert len(result.layers) == len(references)
+                for layer, ref in zip(result.layers, references):
+                    assert np.array_equal(layer, _canonical_layer(ref, model.n))
+            assert result.union == robust_reach_oracle(target, model)
+            seen["layered"] += bool(result.steps)
+    assert seen["one row"] >= 64 and seen["zero probability"] >= 60, seen
+    assert seen["layered"] >= 400, seen
+
+
+def test_reach_refuses_a_target_that_is_not_mirror_closed():
+    rng = np.random.default_rng(2021)
+    refused = 0
+    for _ in range(200):
+        model = random_model(rng, n=int(rng.integers(1, 5)))
+        aug = build_augmented(model)
+        n, pairs = model.n, aug.pair_count
+        bits = rng.random(pairs) < rng.choice([0.05, 0.5, 0.95])
+        # A random set, and a mirror-closed one with a member above or below the
+        # diagonal added or removed without its mirror.
+        for target in (StateSet(pairs, bits), _flip_one(bits, n, rng)):
+            if mirror_close(target, n) == target:
+                robust_reach(target, aug)
+                continue
+            with pytest.raises(ValueError, match="mirror-closed"):
+                robust_reach(target, aug)
+            refused += 1
+    assert refused >= 250
+    aug = build_augmented(random_model(rng, n=2))
+    for z in (pair_index(1, 2, 2), pair_index(2, 1, 2)):
+        with pytest.raises(ValueError, match="mirror-closed"):
+            robust_reach(StateSet.from_indices(16, [z]), aug)
+
+
+def _flip_one(bits, n, rng):
+    """The mirror closure of ``bits`` with one off-diagonal member toggled, not its mirror."""
+    size = 1 << n
+    grid = bits.reshape(size, size)
+    closed = grid | grid.T
+    i, j = rng.choice(size, 2, replace=False)
+    closed[i, j] = not closed[i, j]
+    return StateSet(size * size, closed.reshape(-1))
 
 
 def test_build_and_reach_never_make_a_k_by_pair_space_array():

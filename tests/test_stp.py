@@ -164,3 +164,18 @@ def test_logical_matrix_needs_integer_indices():
     huge = "states: 1\noutputs: 1\nsubnetworks: 1\np: 1\n[net 1]\nL = delta2[1 %d]\n" % 10**30
     with pytest.raises(ModelFormatError, match="line 6: column indices must lie in"):
         parse_model(huge + "[output]\nH = delta2[1 2]\n")
+
+
+@pytest.mark.parametrize("product", [kron, khatri_rao])
+def test_logical_products_past_int64_indices_are_refused(product, monkeypatch):
+    # Column 1 is delta_{2^80}^{2^64 + 2^40 + 1}: in int64 it wraps to 2^40 + 1,
+    # which lies in range, so the product itself must refuse 2^63 rows or more.
+    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", str(10**30))
+    a, b = LogicalMatrix(2**40, [2**24 + 2]), LogicalMatrix(2**40, [1])
+    with pytest.raises(ValueError, match=f"of {2**80} rows exceeds 64-bit indices"):
+        product(a, b)
+    # Just below 2^63 rows every index still fits.
+    big, two = LogicalMatrix(2**62 - 1, [2**62 - 1]), LogicalMatrix(2, [2])
+    assert product(big, two).col_index.tolist() == [2**63 - 2]
+    with pytest.raises(ValueError, match=f"of {2**63} rows"):
+        product(LogicalMatrix(2**62, [1]), two)
