@@ -7,16 +7,18 @@ separated directly.  Whatever remains is reduced through its maximum
 invariant set and a minimal anchor search, yielding all candidate target
 sets whose separation restores observability.
 
-Every exit of a searched set is already settled.  The invariant set folds a
-maximum invariant set, so it has none.  A second-residual successor is never
-diagonal (one-step diagonal hitters are core); outside the closure it lies in
-s2, the core, the invariant set or a mirror-closed reach union inside widened,
-so in the second search's own target.  Every member of either set keeps a
-successor inside its closure, so each set has a cycle.  An anchor set is then
-exactly a set of residual pairs that breaks every cycle of the successor
-graph once each pair is identified with its mirror.  Every cycle lies inside
-one strongly connected component (Tarjan, SIAM J. Comput. 1972), so the
-minimal anchor sets are the products of each cyclic component's minimal
+Every set here is an i <= j half (see :mod:`.partition`); the reaches and the
+invariant set read their inputs' mirror closures.  Every exit of a searched
+set is already settled.  The invariant set is the i < j half of a maximum
+invariant set, so it has none.  A second-residual successor is never diagonal
+(one-step diagonal hitters are core); outside the closure it lies in the
+mirror closure of s2, the core, the invariant set or widened, so in the
+second search's own target.  Every member of either set keeps a successor
+inside its closure, so each set has a cycle.  An anchor set is then exactly a
+set of residual pairs that breaks every cycle of the successor graph once
+each pair is identified with its mirror.  Every cycle lies inside one
+strongly connected component (Tarjan, SIAM J. Comput. 1972), so the minimal
+anchor sets are the products of each cyclic component's minimal
 cycle-breaking sets, and the subset cap bounds each such component's size.
 """
 
@@ -38,7 +40,6 @@ from .partition import (
     Partition,
     StateSet,
     diagonal_set,
-    mirror_close,
     partition_states,
 )
 from .reachability import robust_reach
@@ -53,7 +54,7 @@ BREAKER_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the target-set search produces, canonical representatives only.
+    """Everything the target-set search produces, each set an i <= j half.
 
     ``candidates`` lists every minimal pair-state set whose separation makes
     the network observable; it is empty exactly when the network already is.
@@ -82,8 +83,7 @@ class AnalysisReport:
 
 def distinguishable_split(aug: AugmentedSystem, part: Partition) -> tuple[StateSet, StateSet]:
     """(already-distinguishable, still-indistinguishable) split of ``part``'s s1."""
-    n = aug.model.n
-    covered = robust_reach(mirror_close(part.s2, n), aug).union
+    covered = robust_reach(part.s2, aug).union
     reach_in_s1 = part.s1 & covered
     return reach_in_s1, part.s1 - reach_in_s1
 
@@ -113,16 +113,19 @@ def positive_prob_fixed_points(states: StateSet, aug: AugmentedSystem) -> StateS
 
 
 def maximum_invariant_set(constraint: StateSet, aug: AugmentedSystem) -> StateSet:
-    """Largest subset no positive-probability transition can leave.
+    """``constraint``'s part of the largest set no positive-probability transition can leave.
 
     Deletes states whose support escapes the current set until stable (the
-    greatest fixpoint inside ``constraint``).
+    greatest fixpoint inside the mirror closure of ``constraint``, which is
+    mirror-closed in turn).
     """
-    current = constraint.bits
+    size = aug.maps.shape[1]
+    grid = constraint.bits.reshape(size, size)
+    current = (grid | grid.T).reshape(-1)
     while True:
         refined = current & aug.pre_all(current)
         if np.array_equal(refined, current):
-            return StateSet(aug.pair_count, refined)
+            return StateSet._own(refined & constraint.bits)
         current = refined
 
 
@@ -149,7 +152,7 @@ def minimal_anchor_sets(
         [[members[v] for v in _bits(chosen)] for chosen in _minimal_cycle_breakers(succ)]
         for members, succ in components
     ]
-    check_size(prod(len(c) for c in per_component), invariant.universe, "anchor sets")
+    check_size(prod(map(len, per_component)), invariant.universe, "anchor search: anchor sets")
     anchors = sorted(
         (sorted(chain.from_iterable(choice)) for choice in product(*per_component)),
         key=lambda combo: (len(combo), combo),
@@ -310,8 +313,7 @@ def _bits(mask: int) -> list[int]:
 
 def candidate_sufficient(candidate: StateSet, aug: AugmentedSystem, part: Partition) -> bool:
     """Does separating ``candidate`` make every indistinguishable pair distinguishable?"""
-    n = aug.model.n
-    marked = mirror_close(candidate | part.s2, n)
+    marked = candidate | part.s2
     return part.s1.issubset(robust_reach(marked, aug).union | marked)
 
 
@@ -320,7 +322,8 @@ def _warm_reach(target: StateSet, start: StateSet, aug: AugmentedSystem) -> Stat
 
     A robust attractor grows with its target: for T1 <= T2 and start =
     reach(T1), reach(T2) = reach(T2 | start), so the states of ``start``
-    count as arrived before the first layer.
+    count as arrived before the first layer.  This holds for the mirror
+    closures that the reach reads, so i <= j halves may stand for them.
     """
     return robust_reach(target | start, aug).union | (start - target)
 
@@ -331,7 +334,6 @@ def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> An
         raise ValueError(f"subset cap must be nonnegative, got {subset_cap}")
     aug = build_augmented(model)
     part = partition_states(model)
-    n = model.n
     universe = aug.pair_count
     empty = StateSet.empty(universe)
 
@@ -346,28 +348,23 @@ def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> An
     if indist:
         # The targets are nested (s2, then core_target, then core_target | invariant),
         # so each reach starts from the union of the one before.  The s2 union is
-        # mirror-closed and off the diagonal, so it is distinguishable's mirror closure.
-        core_reach = _warm_reach(
-            mirror_close(core_target, n), mirror_close(distinguishable, n), aug
-        )
+        # off the diagonal and outside s2, so it is distinguishable.
+        core_reach = _warm_reach(core_target, distinguishable, aug)
         residual = indist - (core | core_reach)
         if residual:
-            # The maximum invariant set of a mirror-closed constraint is mirror-closed,
-            # and its i < j half lies in residual: the AND folds it.
-            invariant = residual & maximum_invariant_set(mirror_close(residual, n), aug)
+            invariant = maximum_invariant_set(residual, aug)
             anchors = minimal_anchor_sets(invariant, aug, cap=subset_cap)
             # With no invariant set, the widened target is core_reach's own target.
             widened = (
-                _warm_reach(mirror_close(core_target | invariant, n), core_reach, aug)
-                if invariant
-                else core_reach
+                _warm_reach(core_target | invariant, core_reach, aug) if invariant else core_reach
             )
             second_residual = residual - (invariant | widened)
             if second_residual:
                 second_anchors = minimal_anchor_sets(second_residual, aug, cap=subset_cap)
         anchor_choices = anchors or (empty,)
         second_choices = second_anchors or (empty,)
-        check_size(len(anchor_choices) * len(second_choices), universe, "candidate sets")
+        count = len(anchor_choices) * len(second_choices)
+        check_size(count, universe, "anchor search: candidate sets")
         candidates = tuple(core | a | b for a in anchor_choices for b in second_choices)
 
     return AnalysisReport(

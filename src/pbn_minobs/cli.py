@@ -24,8 +24,6 @@ from .model import PbnModel, parse_model_file
 from .partition import (
     Partition,
     StateSet,
-    folded_pairs,
-    mirror_close,
     mirror_index,
     pair_split,
     partition_states,
@@ -135,49 +133,38 @@ def _pair_columns(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return z + 1, (z >> n) + 1, (z & ((1 << n) - 1)) + 1
 
 
-def _fold(states: StateSet, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`folded_pairs` of a set, read from its members when none lies below the diagonal.
+def members_once():
+    """The ascending 0-based member indices of a set, computed once per set object.
 
-    Every set that ``analyze`` lists is such a canonical set.
-    """
-    columns = _pair_columns(np.flatnonzero(states.bits), n)
-    if (columns[1] <= columns[2]).all():
-        return columns
-    return folded_pairs(states, n)
-
-
-def fold_once():
-    """:func:`folded_pairs` of a set, computed once per set object.
-
-    Each set is held with its arrays, so no other object takes its ``id``.
+    Each set is held with its array, so no other object takes its ``id``.
     """
     memo: dict[int, tuple] = {}
 
-    def fold(states: StateSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def members(states: StateSet) -> np.ndarray:
         entry = memo.get(id(states))
         if entry is None:
-            n = (states.universe.bit_length() - 1) // 2  # universe = 4^n = 2^(2n)
-            entry = memo[id(states)] = (states, _fold(states, n))
+            entry = memo[id(states)] = (states, np.flatnonzero(states.bits))
         return entry[1]
 
-    return fold
+    return members
 
 
-def write_json(doc, stream, fold=None) -> None:
+def write_json(doc, stream, members=None) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline to ``stream``.
 
     ``doc`` holds dicts with str keys, lists, tuples, JSON scalars and
     ``StateSet`` values.  Containers are laid out as the stdlib lays them
     out, and keys and scalars are written as it writes them, floats through
-    ``json.dumps`` itself.  A ``StateSet`` stands for the list of its
-    canonical pairs, ``{"index": z, "pair": [i, j]}`` each, from the arrays
-    of ``fold(states)`` (default: a new :func:`fold_once`).  A listing is
-    formatted from ``PAIR_ENTRY`` indented to its depth and streamed in blocks of
+    ``json.dumps`` itself.  A ``StateSet``, an i <= j half like every set
+    ``analyze`` lists, stands for the list of its pairs,
+    ``{"index": z, "pair": [i, j]}`` each, from ``members(states)``
+    (default: a new :func:`members_once`).  A listing is formatted from
+    ``PAIR_ENTRY`` indented to its depth and streamed in blocks of
     ``LISTING_BLOCK`` entries.  The text of a one-block listing is kept, so
     a set that occurs again is not formatted again: its text is re-indented
     to the new depth.
     """
-    fold = fold or fold_once()
+    members = members or members_once()
     kept: dict[int, tuple[str, str]] = {}  # id of a set -> (its depth's pad, its text)
     write = stream.write
 
@@ -186,16 +173,17 @@ def write_json(doc, stream, fold=None) -> None:
             first, text = kept[id(states)]
             write(text if pad == first else text.replace("\n" + first, "\n" + pad))
             return
-        z, i, j = fold(states)
+        z = members(states)
         if not z.size:
             write("[]")
             return
+        n = (states.universe.bit_length() - 1) // 2  # universe = 4^n = 2^(2n)
         inner = pad + "  "
         head, mid, sep, tail = (part.replace("\n", "\n" + inner) for part in PAIR_ENTRY)
         head = inner + head
 
         def entries(start: int, stop: int) -> str:
-            rows = zip(*(column[start:stop].tolist() for column in (z, i, j)))
+            rows = zip(*(column.tolist() for column in _pair_columns(z[start:stop], n)))
             return ",\n".join([f"{head}{k}{mid}{a}{sep}{b}{tail}" for k, a, b in rows])
 
         if z.size <= LISTING_BLOCK:
@@ -264,28 +252,30 @@ def _digit_words() -> np.ndarray:
     return chars.reshape(-1, 4).view(np.uint32).ravel()
 
 
-def _write_pairs(write, z: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
-    """Write ``{z=(i,j), ...}`` for the folded arrays of one pair listing (positive values).
+def _write_pairs(write, z: np.ndarray, n: int) -> None:
+    """Write ``{z=(i,j), ...}`` (1-based) for the 0-based pair indices ``z`` of one listing.
 
     A listing of at least ``BYTE_MATRIX_MIN`` entries is written as rows of
     ``uint32`` words, one row per entry: each number in 4-digit chunks from
     :func:`_digit_words`, zero-padded below its leading chunk, with the
-    literal words between the numbers.  Dropping the NUL bytes leaves the
-    text.  Rows go to ``write`` in blocks of ``LISTING_BLOCK`` entries, so no
-    listing is held whole.
+    literal words between the numbers.  Each column has the chunks of its
+    bound, 4^n or 2^n; a leading chunk of zero is word 0, all NUL, and
+    dropping the NUL bytes leaves the text.  The columns are made and the
+    rows written in blocks of ``LISTING_BLOCK`` entries, so no listing's
+    columns are held whole.
     """
     if z.size < BYTE_MATRIX_MIN:
-        write("{" + ", ".join(map("{}=({},{})".format, z.tolist(), i.tolist(), j.tolist())) + "}")
+        columns = (column.tolist() for column in _pair_columns(z, n))
+        write("{" + ", ".join(map("{}=({},{})".format, *columns)) + "}")
         return
     words = _digit_words()
-    fields = (z, i, j)
-    chunks = [-(-len(str(values.max())) // 4) for values in fields]
+    chunks = [-(-len(str(bound)) // 4) for bound in (1 << 2 * n, 1 << n, 1 << n)]
     write("{")
     for start in range(0, z.size, LISTING_BLOCK):
-        rows = np.empty((min(LISTING_BLOCK, z.size - start), sum(chunks) + 3), dtype=np.uint32)
+        fields = _pair_columns(z[start : start + LISTING_BLOCK], n)
+        rows = np.empty((fields[0].size, sum(chunks) + 3), dtype=np.uint32)
         col = 0
-        for values, count, literal in zip(fields, chunks, PAIR_LITERALS):
-            rest = values[start : start + LISTING_BLOCK]
+        for rest, count, literal in zip(fields, chunks, PAIR_LITERALS):
             for place in range(count - 1, 0, -1):  # the chunks below the leading one
                 higher = rest // 10**4
                 # the zero-padded word where a higher chunk is nonzero
@@ -299,16 +289,17 @@ def _write_pairs(write, z: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
         write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
-def _fmt_pairs(z: np.ndarray, i: np.ndarray, j: np.ndarray) -> str:
+def _fmt_pairs(z: np.ndarray, n: int) -> str:
     """The text that :func:`_write_pairs` writes for one listing."""
     parts: list[str] = []
-    _write_pairs(parts.append, z, i, j)
+    _write_pairs(parts.append, z, n)
     return "".join(parts)
 
 
 def _summary_lines(
-    model: PbnModel, analysis: AnalysisReport, plan: SensorPlan | None, fold
+    model: PbnModel, analysis: AnalysisReport, plan: SensorPlan | None, members
 ) -> list[str]:
+    n = model.n
     lines = [
         f"states={model.n} outputs={model.q} subnetworks={model.m}",
         f"|s0|={len(analysis.partition.s0)} |s1|={len(analysis.partition.s1)} "
@@ -318,14 +309,14 @@ def _summary_lines(
     if not analysis.observable:
         lines.append(
             "indistinguishable pairs: "
-            f"{_fmt_pairs(*fold(analysis.indistinguishable))}"
+            f"{_fmt_pairs(members(analysis.indistinguishable), n)}"
         )
         lines.append(
             "must separate directly (diagonal hitters + fixed points): "
-            f"{_fmt_pairs(*fold(analysis.core))}"
+            f"{_fmt_pairs(members(analysis.core), n)}"
         )
         for pos, cand in enumerate(analysis.candidates):
-            lines.append(f"candidate {pos}: {_fmt_pairs(*fold(cand))}")
+            lines.append(f"candidate {pos}: {_fmt_pairs(members(cand), n)}")
     if plan is not None:
         covers = ", ".join(
             "{" + ", ".join(f"x{v}" for v in cover) + "}" for _, cover in plan.optima
@@ -345,7 +336,6 @@ def write_s1_graph(path, aug: AugmentedSystem, part: Partition) -> None:
     n = aug.model.n
     s1 = part.s1
     s0 = part.s0
-    s2c = mirror_close(part.s2, n)
     lines = ["digraph s1_transitions {", "  rankdir=LR;", '  node [shape=ellipse];']
     for z in s1.indices():
         i, j = pair_split(z, n)
@@ -355,12 +345,13 @@ def write_s1_graph(path, aug: AugmentedSystem, part: Partition) -> None:
     for z in s1.indices():
         flows: dict[str, float] = {}
         for row, prob in aug.q_matrix.column_dict(z).items():
+            row = min(row, mirror_index(row, n))
             if row in s0:
                 key = "S0"
-            elif row in s2c:
+            elif row in part.s2:
                 key = "S2"
             else:
-                key = f"z{min(row, mirror_index(row, n))}"
+                key = f"z{row}"
             flows[key] = flows.get(key, 0.0) + prob
         for key, prob in sorted(flows.items()):
             if key in ("S0", "S2"):
@@ -373,6 +364,11 @@ def write_s1_graph(path, aug: AugmentedSystem, part: Partition) -> None:
     lines.extend(edges)
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _closed_count(half: StateSet, n: int) -> int:
+    """Size of the mirror closure of an i <= j set: twice its size less its diagonal pairs."""
+    return 2 * len(half) - int(np.count_nonzero(half.bits[:: (1 << n) + 1]))
 
 
 def _parse_target(spec: str, part: Partition, n: int, universe: int) -> StateSet:
@@ -431,15 +427,15 @@ def cmd_analyze(args) -> int:
     if args.dot:
         write_s1_graph(args.dot, analysis.system, analysis.partition)
     report = build_report(args.path, model, analysis, plan, timing)
-    # The report and the summary list some sets twice or more: each is folded once.
-    fold = fold_once()
+    # The report and the summary list some sets twice or more: each is read once.
+    members = members_once()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as stream:
-            write_json(report, stream, fold)
+            write_json(report, stream, members)
     else:
-        write_json(report, sys.stdout, fold)
+        write_json(report, sys.stdout, members)
     if not args.quiet:
-        for line in _summary_lines(model, analysis, plan, fold):
+        for line in _summary_lines(model, analysis, plan, members):
             print(line, file=sys.stderr)
     return EXIT_OK
 
@@ -448,20 +444,17 @@ def cmd_reach(args) -> int:
     model = parse_model_file(args.path)
     aug = build_augmented(model)
     n = model.n
-    canonical = _parse_target(args.target, partition_states(model), n, aug.pair_count)
-    target = mirror_close(canonical, n)
+    target = _parse_target(args.target, partition_states(model), n, aug.pair_count)
     result = robust_reach(target, aug)
-    # Each listing is an i <= j half, read from an ascending index array: the
-    # union's is the layers' together.
+    # Each listing is an i <= j half; the counts are of the mirror closures.
     write = sys.stdout.write
-    write(f"target ({len(target)} states, mirror-closed): ")
-    _write_pairs(write, *_pair_columns(np.flatnonzero(canonical.bits), n))
+    write(f"target ({_closed_count(target, n)} states, mirror-closed): ")
+    _write_pairs(write, np.flatnonzero(target.bits), n)
     for step, layer in enumerate(result.layers, start=1):
         write(f"\nlayer {step}: ")
-        _write_pairs(write, *_pair_columns(layer, n))
-    write(f"\nunion ({len(result.union)} states in {result.steps} layers): ")
-    union = np.sort(np.concatenate((np.empty(0, np.intp), *result.layers)))
-    _write_pairs(write, *_pair_columns(union, n))
+        _write_pairs(write, layer, n)
+    write(f"\nunion ({_closed_count(result.union, n)} states in {result.steps} layers): ")
+    _write_pairs(write, np.flatnonzero(result.union.bits), n)
     write("\n")
     return EXIT_OK
 

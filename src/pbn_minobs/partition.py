@@ -2,10 +2,12 @@
 
 Pair (i, j) of single-network states lives at linear index (i-1)*2^n + j in
 the pair space of size 4^n.  The mirror of (i, j) is (j, i); dynamics and
-output tests are mirror-symmetric, so analyses run on the full pair space and
-results are folded to the canonical i <= j representatives for display.
-Sets are :class:`StateSet` values over one read-only bool array, which the
-fixpoints and the folds below read and build directly.
+output tests are mirror-symmetric, so every pair-space set the package passes
+between functions holds its i <= j half only.  The two fixpoints that follow
+whole mirror orbits, ``robust_reach`` and ``maximum_invariant_set``, close
+their input once, inside themselves.  :func:`mirror_close` and
+:func:`folded_pairs` remain for callers that hold ordered pairs.  Sets are
+:class:`StateSet` values over one read-only bool array.
 """
 
 from __future__ import annotations

@@ -4,6 +4,12 @@ A pair state robustly reaches a target when every switching sequence over the
 positive-probability subnetworks drives it into the (accumulated) target in a
 bounded number of steps.  The "probability = 1" test is support containment,
 never floating-point summation against 1.0.
+
+The dynamics commute with the mirror (i, j) -> (j, i), so a pair robustly
+reaches a mirror-closed target exactly when its mirror does.
+:func:`robust_reach` therefore reads its target as the target's mirror closure
+and returns i <= j halves, the one form of a pair-space set (see
+:mod:`.partition`).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ class ReachResult:
     """Per-step layers of newly arriving states plus their union.
 
     Each layer is an ascending int64 array of the 0-based indices of the i <= j
-    pairs arriving at that step; ``union`` is mirror-closed.
+    pairs arriving at that step; ``union`` is the i <= j set of every layer.
     """
 
     layers: tuple[np.ndarray, ...]
@@ -44,9 +50,9 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
     and the target itself count as arrived; iteration stops at the first
     empty layer.
 
-    ``target`` must be mirror-closed (``ValueError`` otherwise): a pair and its
-    mirror then arrive together, so only the i <= j pairs are pending, each
-    arriving pair marks its mirror too, and a layer lists the i <= j half.
+    ``target`` is read as its mirror closure: a pair and its mirror arrive
+    together, so only the i <= j pairs are pending, each arriving pair marks
+    its mirror too, and the layers and the union hold the i <= j half.
 
     Each pending state watches one successor, as SAT solvers watch literals:
     first its row-0 successor, later the first successor in row order that
@@ -62,18 +68,15 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
     n = aug.model.n
     size = 1 << n
     sentinel = size * size
+    arrived = np.zeros(sentinel + 1, dtype=bool)
+    closed = arrived[:sentinel].reshape(size, size)
+    grid = target.bits.reshape(size, size)
+    np.logical_or(grid, grid.T, out=closed)
     ranks = np.arange(size)
     pending = ranks[:, None] <= ranks
-    np.greater(pending, target.bits.reshape(size, size), out=pending)
-    pending = pending.reshape(-1).nonzero()[0]  # the i <= j pairs outside the target
+    np.greater(pending, closed, out=pending)
+    pending = pending.reshape(-1).nonzero()[0]  # the i <= j pairs outside the closure
     mirror = ((pending & (size - 1)) << n) | (pending >> n)
-    # The target is mirror-closed exactly when no mirror of a pending pair is in
-    # it and it misses no other pair: the 2 |pending| - (diagonal pending) ones.
-    outside = 2 * pending.size - np.count_nonzero(mirror == pending)
-    if target.bits[mirror].any() or np.count_nonzero(target.bits) != sentinel - outside:
-        raise ValueError("the target of a robust reach must be mirror-closed")
-    arrived = np.zeros(sentinel + 1, dtype=bool)
-    arrived[:sentinel] = target.bits
     watch = aug.successors(pending, slice(1))[0]
     gone = 0  # pending states that have arrived
     layers: list[np.ndarray] = []
@@ -102,7 +105,9 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
             keep = (watch != sentinel).nonzero()[0]
             pending, mirror, watch, gone = pending[keep], mirror[keep], watch[keep], 0
     union = arrived[:sentinel]
-    union &= ~target.bits
+    union[:] = False
+    for layer in layers:
+        union[layer] = True
     return ReachResult(layers=tuple(layers), union=StateSet._own(union), steps=len(layers))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from array import array
 from itertools import combinations
 
@@ -268,10 +269,10 @@ def test_anchor_and_candidate_sets_checked_against_dimension_cap(monkeypatch):
     assert len(report.invariant_anchors) == len(report.second_anchors) == 2
     assert len(report.candidates) == 4
     monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "200")
-    with pytest.raises(ResourceLimitError, match="candidate sets of size 4x64"):
+    with pytest.raises(ResourceLimitError, match="anchor search: candidate sets of size 4x64"):
         minimal_targets(model)
     monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "100")
-    with pytest.raises(ResourceLimitError, match="anchor sets of size 2x64"):
+    with pytest.raises(ResourceLimitError, match="anchor search: anchor sets of size 2x64"):
         minimal_anchor_sets(report.invariant_set, aug)
 
 
@@ -363,14 +364,16 @@ def test_invariant_set_matches_plain_greatest_fixpoint():
         aug = build_augmented(model)
         pairs = aug.pair_count
         raw = rng.integers(1, pairs + 1, size=int(rng.integers(0, pairs + 1)))
-        current = {int(z) for z in raw}
-        constraint = StateSet.from_indices(pairs, current)
+        constraint = StateSet.from_indices(pairs, raw)
+        # The greatest fixpoint inside the constraint's mirror closure, cut to the constraint.
+        current = set(mirror_close(constraint, model.n).indices())
         while True:
             kept = {z for z in current if set(aug.q_matrix.column_dict(z)) <= current}
             if kept == current:
                 break
             current = kept
-        assert maximum_invariant_set(constraint, aug).indices() == tuple(sorted(current))
+        expected = tuple(sorted(current.intersection(constraint.indices())))
+        assert maximum_invariant_set(constraint, aug).indices() == expected
 
 
 def test_invariant_set_is_the_upper_half_of_the_mirror_closed_fixpoint():
@@ -392,6 +395,33 @@ def test_invariant_set_is_the_upper_half_of_the_mirror_closed_fixpoint():
         nonempty += bool(report.invariant_set)
         zeroed += len(model.active) < model.m
     assert nonempty >= 40 and zeroed >= 40, (nonempty, zeroed)
+
+
+def test_every_report_set_holds_its_i_le_j_half_only():
+    # Partition, fields, anchors and candidates: no member has i > j.
+    rng = np.random.default_rng(2029)
+    seen = {"reports": 0, "core_reach": 0, "anchors": 0}
+    for _ in range(300):
+        model = random_model(rng, n=int(rng.integers(1, 6)))
+        try:
+            report = minimal_targets(model, subset_cap=14)
+        except ResourceLimitError:
+            continue
+        size = model.state_count
+        below = np.tril(np.ones((size, size), dtype=bool), -1).reshape(-1)
+        sets = [report.partition.s0, report.partition.s1, report.partition.s2]
+        for f in dataclasses.fields(report):
+            value = getattr(report, f.name)
+            if isinstance(value, StateSet):
+                sets.append(value)
+            elif isinstance(value, tuple):
+                sets.extend(value)
+        assert all(isinstance(states, StateSet) for states in sets)
+        assert not any((states.bits & below).any() for states in sets)
+        seen["reports"] += 1
+        seen["core_reach"] += bool(report.core_reach)
+        seen["anchors"] += bool(report.invariant_anchors or report.second_anchors)
+    assert seen["reports"] >= 250 and seen["core_reach"] >= 100 and seen["anchors"] >= 40, seen
 
 
 def test_empty_invariant_set_reuses_core_reach(monkeypatch):

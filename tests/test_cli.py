@@ -147,7 +147,8 @@ def test_entry_cap_counts_the_pair_space_not_the_pair_maps(capsys, monkeypatch, 
     monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "256")
     aug = build_augmented(model)
     target = mirror_close(partition_states(model).s2, model.n)
-    assert robust_reach(target, aug).union == robust_reach_oracle(target, model)
+    union = robust_reach(target, aug).union
+    assert mirror_close(union, model.n) == robust_reach_oracle(target, model)
     assert run(capsys, "reach", str(path), "--target", "S2")[0] == EXIT_OK
     monkeypatch.setenv("PBN_MINOBS_MAX_DIM", "255")
     refusal = "pair space of size 16x16 exceeds the entry cap 255"
@@ -420,7 +421,8 @@ def _check_reach(capsys, path, model, spec="S2", target=None):
     expected = [f"target ({len(target)} states, mirror-closed): {_reference_fmt(target, n)}"]
     expected += [f"layer {step}: {_reference_fmt(layer, n)}"
                  for step, layer in enumerate(layers, start=1)]
-    expected.append(f"union ({len(result.union)} states in {result.steps} layers): "
+    union = mirror_close(result.union, n)
+    expected.append(f"union ({len(union)} states in {result.steps} layers): "
                     f"{_reference_fmt(result.union, n)}")
     assert run(capsys, "reach", path, "--target", spec) == (EXIT_OK, "\n".join(expected) + "\n", "")
 
@@ -458,8 +460,15 @@ def test_reach_lists_index_targets_by_their_mirror_closure(capsys, tmp_path):
         _check_reach(capsys, path, model, spec, StateSet.from_indices(pairs, raw))
 
 
-def _plain_fmt(z, i, j):
-    return "{" + ", ".join(map("{}=({},{})".format, z.tolist(), i.tolist(), j.tolist())) + "}"
+def _plain_fmt(z, n):
+    """``{index=(i,j), ...}`` of the 0-based pair indices ``z``, one Python int at a time."""
+    mask = (1 << n) - 1
+    return "{" + ", ".join(f"{k + 1}=({(k >> n) + 1},{(k & mask) + 1})" for k in z.tolist()) + "}"
+
+
+def _pairs_at(first, second, n):
+    """0-based indices of the 1-based pairs (first[k], second[k]) in the 4^n pair space."""
+    return (np.asarray(first, dtype=np.int64) - 1) << n | (np.asarray(second, dtype=np.int64) - 1)
 
 
 # 1 sends every non-empty listing through the byte matrix, 10**9 none of them.
@@ -467,47 +476,45 @@ def _plain_fmt(z, i, j):
 def test_pair_formatter_matches_plain_join(monkeypatch, shortest):
     monkeypatch.setattr(cli, "BYTE_MATRIX_MIN", shortest)
     rng = np.random.default_rng(17)
-    edges = np.array([9, 10, 99, 100, 999, 1000])
-    listings = [
-        (edges, edges[::-1], np.roll(edges, 2)),
-        (np.array([1]), np.array([1]), np.array([1])),
-        (np.array([4**10]), np.array([2**10]), np.array([2**10])),
-    ]
+    listings = [(np.array([0]), 1), (np.array([4**10 - 1]), 10), (np.array([5]), 31)]
     for size in (BYTE_MATRIX_MIN - 1, BYTE_MATRIX_MIN, BYTE_MATRIX_MIN + 1):
-        listings.append(tuple(np.sort(rng.integers(1, 20_000, size)) for _ in range(3)))
-    # Digit-chunk edges, each in every field and next to every other edge.
-    chunk_edges = np.array([1, 9999, 10**4, 10**4 + 1, 10**8 - 1, 10**8, 4**12])
-    for shift in range(chunk_edges.size):
-        listings.append((chunk_edges, np.roll(chunk_edges, shift), np.roll(chunk_edges, -shift)))
-    mixed = rng.choice(chunk_edges, (3, 3 * BYTE_MATRIX_MIN))
-    listings.append((mixed[0], mixed[1], mixed[2]))
+        listings.append((np.sort(rng.choice(4**7, size, replace=False)), 7))
+    # Digit-chunk edges of the index, and of i and j next to every other edge,
+    # where each column's bound has more chunks than its values (n = 14, 27, 31).
+    chunk_edges = np.array([1, 9999, 10**4, 10**4 + 1, 10**8 - 1, 10**8, 10**12, 10**16])
+    for n in (14, 27, 31):
+        index_edges = chunk_edges[chunk_edges <= 4**n]
+        state_edges = np.append(chunk_edges[chunk_edges <= 2**n], 2**n)
+        listings.append((np.append(index_edges, 4**n) - 1, n))
+        for shift in range(state_edges.size):
+            listings.append((_pairs_at(state_edges, np.roll(state_edges, shift), n), n))
+        mixed = rng.choice(state_edges, (2, 3 * BYTE_MATRIX_MIN))
+        listings.append((_pairs_at(mixed[0], mixed[1], n), n))
     for size in (LISTING_BLOCK, 2 * LISTING_BLOCK + 1):  # one and three write blocks
-        listings.append((np.sort(rng.integers(1, 4**12, size)),
-                         rng.integers(1, 20_000, size), rng.integers(1, 2**12 + 1, size)))
-    for z, i, j in listings:
-        assert cli._fmt_pairs(z, i, j) == _plain_fmt(z, i, j)
-    nothing = np.array([], dtype=np.int64)
-    assert cli._fmt_pairs(nothing, nothing, nothing) == "{}"
+        listings.append((np.sort(rng.choice(4**12, size, replace=False)), 12))
+    for z, n in listings:
+        assert cli._fmt_pairs(z, n) == _plain_fmt(z, n)
+    assert cli._fmt_pairs(np.array([], dtype=np.int64), 3) == "{}"
 
 
-def _written_pairs(z, i, j):
+def _written_pairs(z, n):
     """The calls :func:`cli._write_pairs` makes to its ``write``."""
     writes = []
-    cli._write_pairs(writes.append, z, i, j)
+    cli._write_pairs(writes.append, z, n)
     return writes
 
 
 def _sorted_listing(rng, size):
-    z = np.sort(rng.integers(1, 4**12, size))
-    return z, rng.integers(1, 20_000, size), rng.integers(1, 2**12 + 1, size)
+    """``size`` ascending 0-based pair indices at n = 12."""
+    return np.sort(rng.choice(4**12, size, replace=False))
 
 
 def test_block_writer_matches_plain_join():
     rng = np.random.default_rng(19)
     for size in (0, 1, BYTE_MATRIX_MIN - 1, BYTE_MATRIX_MIN):
-        z, i, j = _sorted_listing(rng, size)
-        writes = _written_pairs(z, i, j)
-        assert "".join(writes) == _plain_fmt(z, i, j)
+        z = _sorted_listing(rng, size)
+        writes = _written_pairs(z, 12)
+        assert "".join(writes) == _plain_fmt(z, 12)
         assert len(writes) == (1 if size < BYTE_MATRIX_MIN else 2)
 
 
@@ -517,11 +524,11 @@ def test_block_writer_matches_plain_join_across_block_edges(monkeypatch, shortes
     monkeypatch.setattr(cli, "BYTE_MATRIX_MIN", shortest)
     rng = np.random.default_rng(20)
     for size in range(shortest, shortest + 12):
-        z, i, j = _sorted_listing(rng, size)
-        writes = _written_pairs(z, i, j)
-        assert "".join(writes) == _plain_fmt(z, i, j)
+        z = _sorted_listing(rng, size)
+        writes = _written_pairs(z, 12)
+        assert "".join(writes) == _plain_fmt(z, 12)
         assert len(writes) == 1 + -(-size // 5)  # the opening brace, then one per block
-        assert cli._fmt_pairs(z, i, j) == _plain_fmt(z, i, j)
+        assert cli._fmt_pairs(z, 12) == _plain_fmt(z, 12)
 
 
 def test_reach_streams_its_listings_without_the_grid_fold(capsys, monkeypatch, tmp_path):
@@ -531,10 +538,8 @@ def test_reach_streams_its_listings_without_the_grid_fold(capsys, monkeypatch, t
     path = tmp_path / "n8.pbn"
     path.write_text(render_model(model), encoding="utf-8")
 
-    def refuse(*args):
-        raise AssertionError("reach folded a set over the pair grid")
-
-    monkeypatch.setattr(cli, "folded_pairs", refuse)
+    # The command line holds no fold over the pair grid and no mirror closure.
+    assert "folded_pairs" not in vars(cli) and "mirror_close" not in vars(cli)
     writes = []
 
     class Recorder:
@@ -558,12 +563,11 @@ def test_pair_formatter_memory_stays_within_four_times_its_text(n):
     rng = np.random.default_rng(18)
     size = 1 << n
     count = 100_000
-    z = np.sort(rng.choice(size * size, count, replace=False)) + 1
-    i, j = rng.integers(1, size + 1, (2, count))
-    cli._fmt_pairs(z[:BYTE_MATRIX_MIN], i[:BYTE_MATRIX_MIN], j[:BYTE_MATRIX_MIN])  # tables built
+    z = np.sort(rng.choice(size * size, count, replace=False))
+    cli._fmt_pairs(z[:BYTE_MATRIX_MIN], n)  # tables built
     tracemalloc.start()
     try:
-        text = cli._fmt_pairs(z, i, j)
+        text = cli._fmt_pairs(z, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -608,35 +612,20 @@ def test_every_cli_outcome_is_a_documented_exit_code(argv):
 
 
 def _random_state_set(rng, n):
-    """A random pair set over 4^n, members on both sides of the diagonal."""
-    return StateSet(4**n, rng.random(4**n) < rng.uniform(0.0, 0.3))
+    """A random i <= j pair set over 4^n, diagonal pairs included."""
+    size = 1 << n
+    upper = (np.arange(size)[:, None] <= np.arange(size)).reshape(-1)
+    return StateSet(4**n, (rng.random(4**n) < rng.uniform(0.0, 0.3)) & upper)
 
 
-def test_fold_once_matches_folded_pairs_and_folds_each_set_once(monkeypatch):
-    from pbn_minobs.partition import folded_pairs
-
-    # Canonical (every member at i <= j), mirror-closed and mixed sets, n = 1-5.
+def test_members_once_reads_each_set_once():
     rng = np.random.default_rng(184)
-    sets = []
-    for k in range(330):
-        n = int(rng.integers(1, 6))
-        mixed = _random_state_set(rng, n)
-        size = 1 << n
-        upper = (np.arange(size)[:, None] <= np.arange(size)).reshape(-1)
-        sets.append((n, (mixed, StateSet(4**n, mixed.bits & upper), mirror_close(mixed, n))[k % 3]))
-    folds, fallbacks = [], []
-    seam = cli._fold
-    monkeypatch.setattr(cli, "_fold", lambda s, n: folds.append(s) or seam(s, n))
-    monkeypatch.setattr(cli, "folded_pairs", lambda s, n: fallbacks.append(s) or folded_pairs(s, n))
-    fold = cli.fold_once()
-    for _ in range(2):
-        for n, states in sets:
-            for got, want in zip(fold(states), folded_pairs(states, n)):
-                assert got.tolist() == want.tolist()
-    assert [id(s) for s in folds] == [id(s) for _, s in sets]
-    # Only a set with a member below the diagonal goes through the grid fold.
-    below = [s for n, s in sets if np.tril(s.bits.reshape(1 << n, 1 << n), -1).any()]
-    assert [id(s) for s in fallbacks] == [id(s) for s in below]
+    sets = [_random_state_set(rng, int(rng.integers(1, 6))) for _ in range(330)]
+    members = cli.members_once()
+    first = [members(states) for states in sets]
+    for states, z in zip(sets, first):
+        assert z.tolist() == np.flatnonzero(states.bits).tolist()
+        assert members(states) is z
 
 
 @pytest.mark.parametrize("block", [LISTING_BLOCK, 5])

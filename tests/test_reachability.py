@@ -98,7 +98,8 @@ def test_single_subnetwork_degenerates_to_orbit_basin():
                 steps += 1
             if cur in target:
                 basin.append(z)
-        assert robust_reach(target, aug).union == StateSet.from_indices(pairs, basin)
+        union = robust_reach(target, aug).union
+        assert mirror_close(union, model.n) == StateSet.from_indices(pairs, basin)
 
 
 def test_oracle_agrees_on_random_models():
@@ -112,7 +113,8 @@ def test_oracle_agrees_on_random_models():
         raw = rng.integers(1, pairs + 1, size=max(2, pairs // 16))
         targets.append(mirror_close(StateSet.from_indices(pairs, (int(z) for z in raw)), model.n))
         for target in targets:
-            assert robust_reach(target, aug).union == robust_reach_oracle(target, model)
+            union = robust_reach(target, aug).union
+            assert mirror_close(union, model.n) == robust_reach_oracle(target, model)
 
 
 def test_monotone_and_idempotent():
@@ -268,7 +270,8 @@ def test_layers_with_zero_probability_subnetworks():
         for target in (mirror_close(partition_states(model).s2, model.n),
                        mirror_close(StateSet.from_indices(pairs, raw), model.n)):
             layered += bool(_check_layers(target, aug).steps)
-            assert robust_reach(target, aug).union == robust_reach_oracle(target, zeroed)
+            union = robust_reach(target, aug).union
+            assert mirror_close(union, model.n) == robust_reach_oracle(target, zeroed)
     assert layered >= 50
 
 
@@ -305,7 +308,7 @@ def test_layers_from_the_maps_match_a_stored_successor_array():
             assert len(result.layers) == len(expected)
             for layer, ref in zip(result.layers, expected):
                 assert np.array_equal(layer, _canonical_layer(ref, model.n))
-            assert result.union == robust_reach_oracle(target, model)
+            assert mirror_close(result.union, model.n) == robust_reach_oracle(target, model)
             layered += bool(result.steps)
     assert layered >= 200
 
@@ -329,34 +332,34 @@ def test_quotient_reach_matches_both_references_on_random_models():
                 assert len(result.layers) == len(references)
                 for layer, ref in zip(result.layers, references):
                     assert np.array_equal(layer, _canonical_layer(ref, model.n))
-            assert result.union == robust_reach_oracle(target, model)
+            assert mirror_close(result.union, model.n) == robust_reach_oracle(target, model)
             seen["layered"] += bool(result.steps)
     assert seen["one row"] >= 64 and seen["zero probability"] >= 60, seen
     assert seen["layered"] >= 400, seen
 
 
-def test_reach_refuses_a_target_that_is_not_mirror_closed():
+def test_reach_reads_any_target_as_its_mirror_closure():
+    # A random set, and a mirror closure with one member above or below the
+    # diagonal toggled without its mirror: the set, its closure and the
+    # closure's i <= j half give the same layers and union, an i <= j half.
     rng = np.random.default_rng(2021)
-    refused = 0
+    mixed = 0
     for _ in range(200):
         model = random_model(rng, n=int(rng.integers(1, 5)))
         aug = build_augmented(model)
         n, pairs = model.n, aug.pair_count
         bits = rng.random(pairs) < rng.choice([0.05, 0.5, 0.95])
-        # A random set, and a mirror-closed one with a member above or below the
-        # diagonal added or removed without its mirror.
         for target in (StateSet(pairs, bits), _flip_one(bits, n, rng)):
-            if mirror_close(target, n) == target:
-                robust_reach(target, aug)
-                continue
-            with pytest.raises(ValueError, match="mirror-closed"):
-                robust_reach(target, aug)
-            refused += 1
-    assert refused >= 250
-    aug = build_augmented(random_model(rng, n=2))
-    for z in (pair_index(1, 2, 2), pair_index(2, 1, 2)):
-        with pytest.raises(ValueError, match="mirror-closed"):
-            robust_reach(StateSet.from_indices(16, [z]), aug)
+            closed = mirror_close(target, n)
+            mixed += closed != target
+            first, *others = (robust_reach(t, aug) for t in (target, _canonical(closed, n), closed))
+            for other in others:
+                assert other.steps == first.steps
+                assert all(map(np.array_equal, other.layers, first.layers))
+                assert other.union == first.union
+            assert _canonical(first.union, n) == first.union
+            assert mirror_close(first.union, n) == robust_reach_oracle(closed, model)
+    assert mixed >= 250
 
 
 def _flip_one(bits, n, rng):
