@@ -39,7 +39,7 @@ EXIT_INFEASIBLE = 3
 EXIT_RESOURCE = 4
 
 # Entry count from which _write_pairs writes a listing from the digit-word table;
-# below it, one str.format call per entry is faster.
+# below it, one f-string per entry is faster.
 BYTE_MATRIX_MIN = 200
 
 # Entries per block of a long listing: memory grows with the block, not with
@@ -48,14 +48,10 @@ BYTE_MATRIX_MIN = 200
 # (2-core VM, numpy 2.4), at the same speed.
 LISTING_BLOCK = 1 << 14
 
-# The literal text after each of an entry's three numbers, then the text that
-# ends the last entry of a listing, as table words.
-PAIR_LITERALS = np.frombuffer(b"=(\0\0,\0\0\0), \0)}\0\0", dtype=np.uint32)
-
-# One pair-listing entry as ``json.dumps(..., indent=2)`` lays it out at depth
-# 0: the text before the index, between the index and i, between i and j, and
-# after j.
-PAIR_ENTRY = ('{\n  "index": ', ',\n  "pair": [\n    ', ',\n    ', "\n  ]\n}")
+# How _write_pairs lays out a listing: the texts before an entry's index,
+# between the index and i, between i and j and after j; the text between two
+# entries; the texts that open and close a listing; the text of an empty one.
+REACH_LAYOUT = ("", "=(", ",", ")", ", ", "{", "}", "{}")
 
 
 def build_report(
@@ -128,28 +124,7 @@ def build_report(
     return doc
 
 
-def _pair_columns(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """1-based (index, i, j) arrays of the 0-based pair indices ``z``."""
-    return z + 1, (z >> n) + 1, (z & ((1 << n) - 1)) + 1
-
-
-def members_once():
-    """The ascending 0-based member indices of a set, computed once per set object.
-
-    Each set is held with its array, so no other object takes its ``id``.
-    """
-    memo: dict[int, tuple] = {}
-
-    def members(states: StateSet) -> np.ndarray:
-        entry = memo.get(id(states))
-        if entry is None:
-            entry = memo[id(states)] = (states, np.flatnonzero(states.bits))
-        return entry[1]
-
-    return members
-
-
-def write_json(doc, stream, members=None) -> None:
+def write_json(doc, stream) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline to ``stream``.
 
     ``doc`` holds dicts with str keys, lists, tuples, JSON scalars and
@@ -157,57 +132,19 @@ def write_json(doc, stream, members=None) -> None:
     out, and keys and scalars are written as it writes them, floats through
     ``json.dumps`` itself.  A ``StateSet``, an i <= j half like every set
     ``analyze`` lists, stands for the list of its pairs,
-    ``{"index": z, "pair": [i, j]}`` each, from ``members(states)``
-    (default: a new :func:`members_once`).  A listing is formatted from
-    ``PAIR_ENTRY`` indented to its depth and streamed in blocks of
-    ``LISTING_BLOCK`` entries.  The text of a one-block listing is kept, so
-    a set that occurs again is not formatted again: its text is re-indented
-    to the new depth.
+    ``{"index": z, "pair": [i, j]}`` each, written by :func:`_write_pairs`
+    in the layout of its depth.
     """
-    members = members or members_once()
-    kept: dict[int, tuple[str, str]] = {}  # id of a set -> (its depth's pad, its text)
-    write = stream.write
-
-    def listing(states: StateSet, pad: str) -> None:
-        if id(states) in kept:
-            first, text = kept[id(states)]
-            write(text if pad == first else text.replace("\n" + first, "\n" + pad))
-            return
-        z = members(states)
-        if not z.size:
-            write("[]")
-            return
-        n = (states.universe.bit_length() - 1) // 2  # universe = 4^n = 2^(2n)
-        inner = pad + "  "
-        head, mid, sep, tail = (part.replace("\n", "\n" + inner) for part in PAIR_ENTRY)
-        head = inner + head
-
-        def entries(start: int, stop: int) -> str:
-            rows = zip(*(column.tolist() for column in _pair_columns(z[start:stop], n)))
-            return ",\n".join([f"{head}{k}{mid}{a}{sep}{b}{tail}" for k, a, b in rows])
-
-        if z.size <= LISTING_BLOCK:
-            text = f"[\n{entries(0, z.size)}\n{pad}]"
-            kept[id(states)] = (pad, text)
-            write(text)
-            return
-        for start in range(0, z.size, LISTING_BLOCK):
-            write((",\n" if start else "[\n") + entries(start, start + LISTING_BLOCK))
-        write(f"\n{pad}]")
-
-    _emit(doc, "", write, listing)
-    write("\n")
+    _emit(doc, "", stream.write)
+    stream.write("\n")
 
 
-def _emit(value, pad: str, write, listing) -> None:
-    """Write ``value`` for :func:`write_json` at the indent ``pad``; ``listing`` writes a set.
-
-    A module-level function, so no closure refers to itself and the
-    listings' arrays and texts go as soon as ``write_json`` returns.
-    """
+def _emit(value, pad: str, write) -> None:
+    """Write ``value`` for :func:`write_json` at the indent ``pad``."""
     kind = type(value)
     if kind is StateSet:
-        listing(value, pad)
+        n = (value.universe.bit_length() - 1) // 2  # universe = 4^n = 2^(2n)
+        _write_pairs(write, np.flatnonzero(value.bits), n, _json_layout(pad))
     elif kind is int:
         write(str(value))
     elif kind is str:
@@ -217,7 +154,7 @@ def _emit(value, pad: str, write, listing) -> None:
         opening = "{\n" + inner
         for key, item in value.items():
             write(f"{opening}{encode_basestring_ascii(key)}: ")
-            _emit(item, inner, write, listing)
+            _emit(item, inner, write)
             opening = ",\n" + inner
         write(f"\n{pad}}}")
     elif isinstance(value, (list, tuple)) and value:
@@ -225,7 +162,7 @@ def _emit(value, pad: str, write, listing) -> None:
         opening = "[\n" + inner
         for item in value:
             write(opening)
-            _emit(item, inner, write, listing)
+            _emit(item, inner, write)
             opening = ",\n" + inner
         write(f"\n{pad}]")
     elif value is None:
@@ -234,6 +171,22 @@ def _emit(value, pad: str, write, listing) -> None:
         write("true" if value else "false")
     else:  # floats and empty containers
         write(json.dumps(value))
+
+
+@cache
+def _json_layout(pad: str) -> tuple[str, ...]:
+    """The layout of a pair listing in ``json.dumps(..., indent=2)`` at the indent ``pad``."""
+    inner = pad + "  "
+    return (
+        f'{inner}{{\n{inner}  "index": ',
+        f',\n{inner}  "pair": [\n{inner}    ',
+        f",\n{inner}    ",
+        f"\n{inner}  ]\n{inner}}}",
+        ",\n",
+        "[\n",
+        f"\n{pad}]",
+        "[]",
+    )
 
 
 @cache
@@ -252,40 +205,60 @@ def _digit_words() -> np.ndarray:
     return chars.reshape(-1, 4).view(np.uint32).ravel()
 
 
-def _write_pairs(write, z: np.ndarray, n: int) -> None:
-    """Write ``{z=(i,j), ...}`` (1-based) for the 0-based pair indices ``z`` of one listing.
+def _words(text: str, width: int = 0) -> np.ndarray:
+    """``text`` as ``uint32`` words of its ASCII bytes, NUL-padded to ``width`` bytes or more."""
+    data = text.encode("ascii").ljust(width, b"\0")
+    return np.frombuffer(data + bytes(-len(data) % 4), dtype=np.uint32)
 
-    A listing of at least ``BYTE_MATRIX_MIN`` entries is written as rows of
-    ``uint32`` words, one row per entry: each number in 4-digit chunks from
-    :func:`_digit_words`, zero-padded below its leading chunk, with the
-    literal words between the numbers.  Each column has the chunks of its
-    bound, 4^n or 2^n; a leading chunk of zero is word 0, all NUL, and
-    dropping the NUL bytes leaves the text.  The columns are made and the
-    rows written in blocks of ``LISTING_BLOCK`` entries, so no listing's
-    columns are held whole.
+
+def _write_pairs(write, z: np.ndarray, n: int, layout=REACH_LAYOUT) -> None:
+    """Write the listing of the 0-based pair indices ``z`` (1-based, in ``layout``).
+
+    The default layout gives ``{z=(i,j), ...}``.  A listing of at least
+    ``BYTE_MATRIX_MIN`` entries is written as rows of ``uint32`` words, one
+    row per entry: each number in 4-digit chunks from :func:`_digit_words`,
+    zero-padded below its leading chunk, with the layout's texts as words
+    around them.  Each column has the chunks of its bound, 4^n or 2^n; a
+    leading chunk of zero is word 0, all NUL, and dropping the NUL bytes
+    leaves the text.  The columns are made and the rows written in blocks of
+    ``LISTING_BLOCK`` entries, so no listing's columns are held whole.
     """
+    head, mid, sep, tail, between, opening, closing, empty = layout
+    mask = (1 << n) - 1
+    if not z.size:
+        write(empty)
+        return
     if z.size < BYTE_MATRIX_MIN:
-        columns = (column.tolist() for column in _pair_columns(z, n))
-        write("{" + ", ".join(map("{}=({},{})".format, *columns)) + "}")
+        entries = between.join(
+            [f"{head}{k + 1}{mid}{(k >> n) + 1}{sep}{(k & mask) + 1}{tail}" for k in z.tolist()]
+        )
+        write(f"{opening}{entries}{closing}")
         return
     words = _digit_words()
     chunks = [-(-len(str(bound)) // 4) for bound in (1 << 2 * n, 1 << n, 1 << n)]
-    write("{")
+    literals = [_words(text) for text in (head, mid, sep)]
+    # The text after an entry and after the last entry, padded to one width.
+    width = len(tail) + max(len(between), len(closing))
+    after, last = (_words(tail + text, width) for text in (between, closing))
+    write(opening)
     for start in range(0, z.size, LISTING_BLOCK):
-        fields = _pair_columns(z[start : start + LISTING_BLOCK], n)
-        rows = np.empty((fields[0].size, sum(chunks) + 3), dtype=np.uint32)
+        block = z[start : start + LISTING_BLOCK]
+        fields = (block + 1, (block >> n) + 1, (block & mask) + 1)  # 1-based index, i, j
+        rows = np.empty((block.size, sum(chunks) + sum(map(len, literals)) + after.size), np.uint32)
         col = 0
-        for rest, count, literal in zip(fields, chunks, PAIR_LITERALS):
+        for literal, rest, count in zip(literals, fields, chunks):
+            rows[:, col : col + literal.size] = literal
+            col += literal.size
             for place in range(count - 1, 0, -1):  # the chunks below the leading one
                 higher = rest // 10**4
                 # the zero-padded word where a higher chunk is nonzero
                 rows[:, col + place] = words[rest - higher * 10**4 + (higher > 0) * 10**4]
                 rest = higher
             rows[:, col] = words[rest]
-            rows[:, col + count] = literal
-            col += count + 1
+            col += count
+        rows[:, col:] = after
         if start + LISTING_BLOCK >= z.size:
-            rows[-1, -1] = PAIR_LITERALS[-1]  # the last entry closes the listing
+            rows[-1, col:] = last
         write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
@@ -296,10 +269,10 @@ def _fmt_pairs(z: np.ndarray, n: int) -> str:
     return "".join(parts)
 
 
-def _summary_lines(
-    model: PbnModel, analysis: AnalysisReport, plan: SensorPlan | None, members
-) -> list[str]:
-    n = model.n
+def _summary_lines(model: PbnModel, analysis: AnalysisReport, plan: SensorPlan | None) -> list[str]:
+    def listing(states: StateSet) -> str:
+        return _fmt_pairs(np.flatnonzero(states.bits), model.n)
+
     lines = [
         f"states={model.n} outputs={model.q} subnetworks={model.m}",
         f"|s0|={len(analysis.partition.s0)} |s1|={len(analysis.partition.s1)} "
@@ -307,16 +280,13 @@ def _summary_lines(
         f"observable: {'yes' if analysis.observable else 'no'}",
     ]
     if not analysis.observable:
-        lines.append(
-            "indistinguishable pairs: "
-            f"{_fmt_pairs(members(analysis.indistinguishable), n)}"
-        )
+        lines.append(f"indistinguishable pairs: {listing(analysis.indistinguishable)}")
         lines.append(
             "must separate directly (diagonal hitters + fixed points): "
-            f"{_fmt_pairs(members(analysis.core), n)}"
+            f"{listing(analysis.core)}"
         )
         for pos, cand in enumerate(analysis.candidates):
-            lines.append(f"candidate {pos}: {_fmt_pairs(members(cand), n)}")
+            lines.append(f"candidate {pos}: {listing(cand)}")
     if plan is not None:
         covers = ", ".join(
             "{" + ", ".join(f"x{v}" for v in cover) + "}" for _, cover in plan.optima
@@ -427,15 +397,13 @@ def cmd_analyze(args) -> int:
     if args.dot:
         write_s1_graph(args.dot, analysis.system, analysis.partition)
     report = build_report(args.path, model, analysis, plan, timing)
-    # The report and the summary list some sets twice or more: each is read once.
-    members = members_once()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as stream:
-            write_json(report, stream, members)
+            write_json(report, stream)
     else:
-        write_json(report, sys.stdout, members)
+        write_json(report, sys.stdout)
     if not args.quiet:
-        for line in _summary_lines(model, analysis, plan, members):
+        for line in _summary_lines(model, analysis, plan):
             print(line, file=sys.stderr)
     return EXIT_OK
 

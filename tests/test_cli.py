@@ -471,6 +471,13 @@ def _pairs_at(first, second, n):
     return (np.asarray(first, dtype=np.int64) - 1) << n | (np.asarray(second, dtype=np.int64) - 1)
 
 
+def _plain_json(z, n, pad):
+    """The report listing of the 0-based pair indices ``z`` at the indent ``pad``, by the stdlib."""
+    mask = (1 << n) - 1
+    entries = [{"index": k + 1, "pair": [(k >> n) + 1, (k & mask) + 1]} for k in z.tolist()]
+    return json.dumps(entries, indent=2).replace("\n", "\n" + pad)
+
+
 # 1 sends every non-empty listing through the byte matrix, 10**9 none of them.
 @pytest.mark.parametrize("shortest", [1, BYTE_MATRIX_MIN, 10**9])
 def test_pair_formatter_matches_plain_join(monkeypatch, shortest):
@@ -494,13 +501,16 @@ def test_pair_formatter_matches_plain_join(monkeypatch, shortest):
         listings.append((np.sort(rng.choice(4**12, size, replace=False)), 12))
     for z, n in listings:
         assert cli._fmt_pairs(z, n) == _plain_fmt(z, n)
+        for pad in ("", "      "):
+            assert "".join(_written_pairs(z, n, cli._json_layout(pad))) == _plain_json(z, n, pad)
     assert cli._fmt_pairs(np.array([], dtype=np.int64), 3) == "{}"
+    assert _written_pairs(np.array([], dtype=np.int64), 3, cli._json_layout("  ")) == ["[]"]
 
 
-def _written_pairs(z, n):
+def _written_pairs(z, n, layout=cli.REACH_LAYOUT):
     """The calls :func:`cli._write_pairs` makes to its ``write``."""
     writes = []
-    cli._write_pairs(writes.append, z, n)
+    cli._write_pairs(writes.append, z, n, layout)
     return writes
 
 
@@ -557,17 +567,20 @@ def test_reach_streams_its_listings_without_the_grid_fold(capsys, monkeypatch, t
     assert "".join(writes) == run(capsys, "reach", path, "--target", "S2")[1]
 
 
+# A reach listing, and a report listing at depth 3 (as `candidates[k]`).
+@pytest.mark.parametrize("pad", [None, "      "], ids=["reach", "report"])
 @pytest.mark.parametrize("n", [9, 12])
-def test_pair_formatter_memory_stays_within_four_times_its_text(n):
+def test_pair_formatter_memory_stays_within_four_times_its_text(n, pad):
     # 10^5 entries with the index and state ranges of an n-variable model.
     rng = np.random.default_rng(18)
     size = 1 << n
     count = 100_000
     z = np.sort(rng.choice(size * size, count, replace=False))
-    cli._fmt_pairs(z[:BYTE_MATRIX_MIN], n)  # tables built
+    layout = cli.REACH_LAYOUT if pad is None else cli._json_layout(pad)
+    _written_pairs(z[:BYTE_MATRIX_MIN], n, layout)  # tables built
     tracemalloc.start()
     try:
-        text = cli._fmt_pairs(z, n)
+        text = "".join(_written_pairs(z, n, layout))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -618,27 +631,29 @@ def _random_state_set(rng, n):
     return StateSet(4**n, (rng.random(4**n) < rng.uniform(0.0, 0.3)) & upper)
 
 
-def test_members_once_reads_each_set_once():
-    rng = np.random.default_rng(184)
-    sets = [_random_state_set(rng, int(rng.integers(1, 6))) for _ in range(330)]
-    members = cli.members_once()
-    first = [members(states) for states in sets]
-    for states, z in zip(sets, first):
-        assert z.tolist() == np.flatnonzero(states.bits).tolist()
-        assert members(states) is z
+def _sparse_state_set(rng, n):
+    """Up to 3 * BYTE_MATRIX_MIN random i <= j pairs over 4^n, and the last pair (2^n, 2^n)."""
+    first, second = rng.integers(0, 1 << n, (2, int(rng.integers(0, 3 * BYTE_MATRIX_MIN))))
+    z = np.append(np.minimum(first, second) << n | np.maximum(first, second), 4**n - 1)
+    return StateSet.from_indices(4**n, z + 1)
 
 
-@pytest.mark.parametrize("block", [LISTING_BLOCK, 5])
-def test_report_writer_matches_json_dumps_on_mixed_documents(block, monkeypatch):
-    # With blocks of 5 entries, most listings are streamed in several blocks.
+# 1 sends every non-empty listing through the byte matrix, 10**9 none of them.
+@pytest.mark.parametrize("shortest", [1, BYTE_MATRIX_MIN, 10**9])
+@pytest.mark.parametrize("block", [LISTING_BLOCK, 7])
+def test_report_writer_matches_json_dumps_on_mixed_documents(block, shortest, monkeypatch):
+    # With blocks of 7 entries, most listings are streamed in several blocks.
     monkeypatch.setattr(cli, "LISTING_BLOCK", block)
+    monkeypatch.setattr(cli, "BYTE_MATRIX_MIN", shortest)
     rng = np.random.default_rng(185)
     for k in range(60):
-        n = int(rng.integers(1, 5))
-        shared = _random_state_set(rng, n)
+        # At n = 7 and 12 the pair indices run past 10^4 and fill two 4-digit chunks.
+        n = int(rng.choice([1, 2, 3, 4, 7, 12]))
+        draw = _random_state_set if n < 5 else _sparse_state_set
+        shared = draw(rng, n)
         doc = {
             "listing": shared,
-            "nested": {"deeper": [shared, {"again": shared, "other": _random_state_set(rng, n)}]},
+            "nested": {"deeper": [shared, {"again": shared, "other": draw(rng, n)}]},
             "pair": (shared, StateSet.empty(4**n)),
             "floats": [0.1, 1e-300, -2.5, 3.0, float(rng.random())],
             "flags": [True, False, None],

@@ -3,11 +3,12 @@
 For each model in ``CASES``, the expected stdout, stderr and DOT file of
 ``analyze --sensors --max-subset 14 --dot``, the stdout of ``reach --target
 S2`` and one ``simulate`` line were written by the program and checked in next
-to it; a model in ``REACH_CASES`` has only its ``reach --target S2`` stdout.
-A difference is a change of an answer or of the output format.  Commands run
-from ``tests/data`` with the bare file name, so the report's ``model.path`` is
-that name, and every ``timing`` value reads 0.0.  ``anchor-search.sha256``
-holds the digests of the benchmark's 60 anchor_search reports.
+to it; a model in ``REACH_CASES`` has its ``reach --target S2`` stdout and the
+sha256 of its ``analyze --sensors --max-subset 14`` report.  A difference is a
+change of an answer or of the output format.  Commands run from ``tests/data``
+with the bare file name, so the report's ``model.path`` is that name, and
+every ``timing`` value reads 0.0.  ``anchor-search.sha256`` holds the digests
+of the benchmark's 60 anchor_search reports.
 """
 
 import contextlib
@@ -35,9 +36,14 @@ CASES = {
     "zero-probs-n4": "7,11",
 }
 
-# Models whose reach listings run past cli.BYTE_MATRIX_MIN entries; at n = 7
-# the pair indices run past 10^4, the first 4-digit chunk boundary.
-REACH_CASES = ("family-n6-seed1", "family-n7-seed1")
+# Models whose reach and report listings run past cli.BYTE_MATRIX_MIN entries,
+# so both layouts of cli._write_pairs take its byte-matrix path; at n = 7 the
+# pair indices run past 10^4, the first 4-digit chunk boundary.  Each maps to
+# the sha256 of its report (9.2 MB at n = 7), timing zeroed.
+REACH_CASES = {
+    "family-n6-seed1": "fde530a5d6af11ee4822b410953d7c999dc11777e905e4ec212ee14281e45b98",
+    "family-n7-seed1": "0032b37d6ff49c47797e9a6f0b3fcadab7160151a7235abf10d9f3e2b54279b2",
+}
 
 TIMING = re.compile(r'("(?:parse|analysis|sensors|total)_s": )[^,\n]+')
 
@@ -84,6 +90,15 @@ def test_long_reach_listings_match_frozen_bytes(name, monkeypatch):
     code, out, err = _run("reach", f"{name}.pbn", "--target", "S2")
     assert (code, err) == (0, "")
     assert out == (DATA / f"{name}.reach.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", REACH_CASES)
+def test_long_report_listings_match_frozen_digests(name, monkeypatch):
+    monkeypatch.chdir(DATA)
+    code, out, _ = _run("analyze", f"{name}.pbn", "--sensors", "--max-subset", 14)
+    assert code == 0
+    digest = hashlib.sha256(TIMING.sub(r"\g<1>0.0", out).encode()).hexdigest()
+    assert digest == REACH_CASES[name]
 
 
 def test_anchor_search_reports_match_frozen_digests(tmp_path, monkeypatch):
