@@ -36,12 +36,7 @@ import numpy as np
 from .augmented import AugmentedSystem, build_augmented
 from .errors import ResourceLimitError
 from .model import PbnModel
-from .partition import (
-    Partition,
-    StateSet,
-    diagonal_set,
-    partition_states,
-)
+from .partition import Partition, StateSet, partition_states
 from .reachability import robust_reach
 from .stp import check_size
 
@@ -96,37 +91,50 @@ def is_observable(model: PbnModel) -> tuple[bool, StateSet]:
     return not witness, witness
 
 
+def _members(states: StateSet, aug: AugmentedSystem) -> np.ndarray:
+    """0-based members of ``states``; ValueError for a set over another pair space."""
+    if states.universe != aug.pair_count:
+        raise ValueError(f"universe mismatch: {states.universe} vs {aug.pair_count}")
+    return states.bits.nonzero()[0]
+
+
 def one_step_to_diagonal(states: StateSet, aug: AugmentedSystem) -> StateSet:
     """Members of ``states`` that can hit a diagonal pair in one step."""
-    return StateSet(aug.pair_count, aug.pre_any(diagonal_set(aug.model.n).bits) & states.bits)
+    z = _members(states, aug)
+    # Pair i * 2^n + j is diagonal exactly when it is a multiple of 2^n + 1.
+    succ = aug.successors(z)
+    hit = (np.remainder(succ, aug.maps.shape[1] + 1, out=succ) == 0).any(axis=0)
+    return StateSet.from_indices(aug.pair_count, z[hit] + 1)
 
 
 def positive_prob_fixed_points(states: StateSet, aug: AugmentedSystem) -> StateSet:
     """Members of ``states`` fixed by some positive-probability subnetwork."""
-    # Pair (i, j) is fixed by f exactly when i and j both are: the outer AND of f's fixed points.
-    size = aug.maps.shape[1]
-    fixed = np.zeros((size, size), dtype=bool)
-    for row in aug.maps == np.arange(size):
-        points = np.flatnonzero(row)
-        fixed[points[:, None], points] = True
-    return StateSet(aug.pair_count, fixed.reshape(-1) & states.bits)
+    z = _members(states, aug)
+    fixed = (aug.successors(z) == z).any(axis=0)
+    return StateSet.from_indices(aug.pair_count, z[fixed] + 1)
 
 
 def maximum_invariant_set(constraint: StateSet, aug: AugmentedSystem) -> StateSet:
     """``constraint``'s part of the largest set no positive-probability transition can leave.
 
-    Deletes states whose support escapes the current set until stable (the
-    greatest fixpoint inside the mirror closure of ``constraint``, which is
-    mirror-closed in turn).
+    The greatest fixpoint inside the mirror closure of ``constraint``, which
+    is mirror-closed in turn.  Each round tests the i <= j members of the
+    current set and removes those with a successor outside it, together
+    with their mirrors, until every member stays.
     """
-    size = aug.maps.shape[1]
-    grid = constraint.bits.reshape(size, size)
-    current = (grid | grid.T).reshape(-1)
+    z = _members(constraint, aug)
+    n = aug.model.n
+    size = 1 << n
+    inside = np.zeros(aug.pair_count, dtype=bool)
+    inside[z] = inside[((z & (size - 1)) << n) | (z >> n)] = True
+    z = np.triu(inside.reshape(size, size)).reshape(-1).nonzero()[0]  # the i <= j members
     while True:
-        refined = current & aug.pre_all(current)
-        if np.array_equal(refined, current):
-            return StateSet._own(refined & constraint.bits)
-        current = refined
+        stays = inside[aug.successors(z)].all(axis=0)
+        if stays.all():
+            return StateSet._own(inside & constraint.bits)
+        gone = z[~stays]
+        inside[gone] = inside[((gone & (size - 1)) << n) | (gone >> n)] = False
+        z = z[stays]
 
 
 def minimal_anchor_sets(
@@ -143,8 +151,6 @@ def minimal_anchor_sets(
     bounds each such component's size.  Raises ValueError for a set over
     another pair space or holding a diagonal or mirrored pair.
     """
-    if invariant.universe != aug.pair_count:
-        raise ValueError(f"universe mismatch: {invariant.universe} vs {aug.pair_count}")
     components = _cyclic_components(invariant, aug, cap)
     if not components:
         return ()
@@ -173,7 +179,7 @@ def _cyclic_components(
     """
     n = aug.model.n
     size = 1 << n
-    states = np.flatnonzero(invariant.bits)
+    states = _members(invariant, aug)
     first, second = states >> n, states & (size - 1)
     if (first >= second).any():
         raise ValueError("anchor search needs canonical i < j pairs")

@@ -4,9 +4,8 @@ Two copies of the network driven by one switching signal evolve the pair
 (i, j) to (L_v(i), L_v(j)).  So the k x 2^n network maps of the
 positive-probability subnetworks fix every pair successor: the pair maps are
 computed from them where they are read, never stored as a k x 4^n array or
-as dense 4^n x 4^n matrices.  Every fixpoint is built from the pre-image
-operators ``pre_all`` (all successors inside a bool array over the pair
-space) and ``pre_any`` (some successor inside).
+as dense 4^n x 4^n matrices.  Every pair-space operator reads
+:meth:`AugmentedSystem.successors` of the states it tests.
 """
 
 from __future__ import annotations
@@ -109,7 +108,11 @@ class AugmentedSystem:
         return self.model.active
 
     def successors(self, z: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """0-based successors of the 0-based pair states ``z``: one row per map in ``rows``."""
+        """0-based successors of the 0-based pair states ``z``: one row per map in ``rows``.
+
+        Each successor keeps the order of its halves: a map that swaps i and j
+        sends (i, j) to (j, i), which is not (i, j) itself.
+        """
         n = self.model.n
         maps = self.maps[rows]
         out = (maps << n).take(z >> n, axis=1)
@@ -124,25 +127,6 @@ class AugmentedSystem:
         succ.setflags(write=False)  # so the matrix keeps it without a copy
         probs = self.model.probs
         return StochasticMatrix(self.pair_count, succ, [probs[v] for v in self.active])
-
-    def pre_all(self, inside: np.ndarray) -> np.ndarray:
-        """Pair states whose every positive-probability successor is in ``inside``."""
-        return self._pre(inside, np.logical_and)
-
-    def pre_any(self, inside: np.ndarray) -> np.ndarray:
-        """Pair states with some positive-probability successor in ``inside``."""
-        return self._pre(inside, np.logical_or)
-
-    def _pre(self, inside: np.ndarray, combine) -> np.ndarray:
-        # Under map f, grid[f][:, f][i, j] = grid[f[i], f[j]] tells whether pair (i, j) goes
-        # inside; two takes gather it faster than the indexing.
-        size = self.maps.shape[1]
-        grid = inside.reshape(size, size)
-        f = self.maps[0]
-        out = grid.take(f, axis=0).take(f, axis=1)
-        for f in self.maps[1:]:
-            combine(out, grid.take(f, axis=0).take(f, axis=1), out=out)
-        return out.reshape(-1)
 
 
 def pair_map(transition: LogicalMatrix) -> LogicalMatrix:

@@ -40,7 +40,9 @@ def one_step_robust(target: StateSet, aug: AugmentedSystem, exclude: StateSet) -
     """States outside ``exclude`` whose entire one-step support lies in ``target``."""
     if target.universe != aug.pair_count or exclude.universe != aug.pair_count:
         raise ValueError("state sets must live in the augmented pair space")
-    return StateSet(aug.pair_count, aug.pre_all(target.bits) & ~exclude.bits)
+    z = (~exclude.bits).nonzero()[0]
+    stays = target.bits[aug.successors(z)].all(axis=0)
+    return StateSet.from_indices(aug.pair_count, z[stays] + 1)
 
 
 def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:

@@ -176,6 +176,17 @@ def test_anchor_sets_reject_non_canonical_sets():
         minimal_anchor_sets(StateSet.from_indices(64, [2]), aug, cap=8)
 
 
+@pytest.mark.parametrize("universe", [16, 256])
+@pytest.mark.parametrize(
+    "stage",
+    [one_step_to_diagonal, positive_prob_fixed_points, maximum_invariant_set, minimal_anchor_sets],
+)
+def test_sets_over_another_pair_space_are_refused(apoptosis, stage, universe):
+    aug = build_augmented(apoptosis)
+    with pytest.raises(ValueError, match="universe mismatch"):
+        stage(StateSet.full(universe), aug)
+
+
 def test_strongly_connected_matches_mutual_reachability():
     rng = np.random.default_rng(59)
     for _ in range(200):

@@ -7,14 +7,18 @@ import pytest
 from pbn_minobs import (
     LogicalMatrix,
     ResourceLimitError,
+    StateSet,
     StochasticMatrix,
     build_augmented,
     expected_transition,
     khatri_rao,
     mirror_index,
+    one_step_robust,
+    one_step_to_diagonal,
     pair_index,
     pair_map,
     pair_split,
+    positive_prob_fixed_points,
     stp,
 )
 
@@ -176,18 +180,25 @@ def test_column_sums_validated():
         weighted_sum([LogicalMatrix(2, [1, 2])], [0.5])
 
 
-def test_pre_image_operators_match_column_support():
+def test_member_operators_match_column_support():
     rng = np.random.default_rng(71)
+    picks = np.random.default_rng(73)  # the excluded sets, so the models stay those of rng 71
     for _ in range(220):
         model = random_model(rng)
         aug = build_augmented(model)
         inside = rng.random(aug.pair_count) < rng.random()
-        pre_all = aug.pre_all(inside)
-        pre_any = aug.pre_any(inside)
+        exclude = picks.random(aug.pair_count) < picks.random()
+        states = StateSet(aug.pair_count, inside)
+        diagonal = one_step_to_diagonal(states, aug)
+        fixed = positive_prob_fixed_points(states, aug)
+        robust = one_step_robust(states, aug, StateSet(aug.pair_count, exclude))
+        diagonal_pairs = {pair_index(i, i, model.n) for i in range(1, model.state_count + 1)}
         for z in range(1, aug.pair_count + 1):
-            hits = [bool(inside[w - 1]) for w in aug.q_matrix.column_dict(z)]
-            assert pre_all[z - 1] == all(hits)
-            assert pre_any[z - 1] == any(hits)
+            keys = aug.q_matrix.column_dict(z)
+            member = bool(inside[z - 1])
+            assert (z in diagonal) == (member and any(w in diagonal_pairs for w in keys))
+            assert (z in fixed) == (member and z in keys)
+            assert (z in robust) == (not exclude[z - 1] and all(inside[w - 1] for w in keys))
 
 
 def test_successors_from_the_maps_are_the_positive_probability_pair_maps():

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -325,13 +326,22 @@ def test_extension_closes_the_loop_on_random_models():
     assert seen >= 5
 
 
-def test_min_size_matches_direct_measurement_search():
+@pytest.mark.parametrize(
+    "draws, constant_output, least",
+    [(400, False, 100), (150, True, 100)],
+    ids=["drawn-output", "constant-output"],
+)
+def test_min_size_matches_direct_measurement_search(draws, constant_output, least):
     # Independent of the candidates: the smallest measurement sets V whose
-    # extended output makes the model observable, all of them.
+    # extended output makes the model observable, all of them.  A constant
+    # output ("nothing measured yet") leaves every i < j pair indistinguishable.
     rng = np.random.default_rng(66)
     checked = 0
-    for _ in range(400):
+    for _ in range(draws):
         model = random_model(rng, n=int(rng.integers(2, 6)))
+        if constant_output:
+            constant = LogicalMatrix(model.output.rows, np.ones(model.state_count, dtype=int))
+            model = dataclasses.replace(model, output=constant)
         try:
             report = minimal_targets(model, subset_cap=14)
         except ResourceLimitError:
@@ -351,7 +361,7 @@ def test_min_size_matches_direct_measurement_search():
         }
         assert {cover for _, cover in plan.optima} == answers
         checked += 1
-    assert checked >= 100
+    assert checked >= least
 
 
 def test_cover_search_with_shared_values_matches_naive_enumeration():
