@@ -46,6 +46,10 @@ DEFAULT_SUBSET_CAP = 20
 # this many mask entries (512 KB of int64), so a component at any cap stays small.
 BREAKER_BLOCK = 1 << 16
 
+# Members whose successors the core and the invariant set read at once: k x 2^16
+# intp successors (2 MB at k = 4), not k x |members|.
+MEMBER_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class AnalysisReport:
@@ -98,19 +102,30 @@ def _members(states: StateSet, aug: AugmentedSystem) -> np.ndarray:
     return states.bits.nonzero()[0]
 
 
+def _each_block(z: np.ndarray, aug: AugmentedSystem, test) -> np.ndarray:
+    """``test(successors, block)`` of the states ``z``, read ``MEMBER_BLOCK`` states at a time.
+
+    ``test`` maps the k x |block| successors of a block to one bool per state.
+    """
+    out = np.empty(z.size, dtype=bool)
+    for start in range(0, z.size, MEMBER_BLOCK):
+        block = z[start : start + MEMBER_BLOCK]
+        out[start : start + block.size] = test(aug.successors(block), block)
+    return out
+
+
 def one_step_to_diagonal(states: StateSet, aug: AugmentedSystem) -> StateSet:
     """Members of ``states`` that can hit a diagonal pair in one step."""
     z = _members(states, aug)
-    # Pair i * 2^n + j is diagonal exactly when it is a multiple of 2^n + 1.
-    succ = aug.successors(z)
-    hit = (np.remainder(succ, aug.maps.shape[1] + 1, out=succ) == 0).any(axis=0)
+    step = aug.maps.shape[1] + 1  # pair i * 2^n + j is diagonal when it is a multiple of 2^n + 1
+    hit = _each_block(z, aug, lambda succ, _: (np.remainder(succ, step, out=succ) == 0).any(axis=0))
     return StateSet.from_indices(aug.pair_count, z[hit] + 1)
 
 
 def positive_prob_fixed_points(states: StateSet, aug: AugmentedSystem) -> StateSet:
     """Members of ``states`` fixed by some positive-probability subnetwork."""
     z = _members(states, aug)
-    fixed = (aug.successors(z) == z).any(axis=0)
+    fixed = _each_block(z, aug, lambda succ, block: (succ == block).any(axis=0))
     return StateSet.from_indices(aug.pair_count, z[fixed] + 1)
 
 
@@ -129,7 +144,7 @@ def maximum_invariant_set(constraint: StateSet, aug: AugmentedSystem) -> StateSe
     inside[z] = inside[((z & (size - 1)) << n) | (z >> n)] = True
     z = np.triu(inside.reshape(size, size)).reshape(-1).nonzero()[0]  # the i <= j members
     while True:
-        stays = inside[aug.successors(z)].all(axis=0)
+        stays = _each_block(z, aug, lambda succ, _: inside[succ].all(axis=0))
         if stays.all():
             return StateSet._own(inside & constraint.bits)
         gone = z[~stays]

@@ -91,13 +91,21 @@ class AugmentedSystem:
     ``maps[r, i]`` is the 0-based state that state i (0-based) moves to under
     the r-th positive-probability subnetwork.  Pair state z = i * 2^n + j
     moves to ``maps[r, i] * 2^n + maps[r, j]``; :meth:`successors` is the one
-    place that computes it, so no k x 4^n successor array is stored.  Their
-    expectation (``q_matrix``) weights the pair maps by the subnetwork
-    probabilities and is built on first read.
+    place that computes it, so no k x 4^n successor array is stored.  It
+    reads the first halves from ``shifted``, the read-only ``maps << n``
+    computed once with the system.  The expectation of the pair maps
+    (``q_matrix``) weights them by the subnetwork probabilities and is built
+    on first read.
     """
 
     model: PbnModel
     maps: np.ndarray = field(repr=False)
+    shifted: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        shifted = self.maps << self.model.n
+        shifted.setflags(write=False)
+        object.__setattr__(self, "shifted", shifted)
 
     @property
     def pair_count(self) -> int:
@@ -114,9 +122,8 @@ class AugmentedSystem:
         sends (i, j) to (j, i), which is not (i, j) itself.
         """
         n = self.model.n
-        maps = self.maps[rows]
-        out = (maps << n).take(z >> n, axis=1)
-        out |= maps.take(z & ((1 << n) - 1), axis=1)
+        out = self.shifted[rows].take(z >> n, axis=1)
+        out |= self.maps[rows].take(z & ((1 << n) - 1), axis=1)
         return out
 
     @cached_property

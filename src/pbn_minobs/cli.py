@@ -38,14 +38,16 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_RESOURCE = 4
 
-# Entry count from which _write_pairs writes a listing from the digit-word table;
-# below it, one f-string per entry is faster.
-BYTE_MATRIX_MIN = 200
+# Entry count from which _write_pairs writes a listing as rows of bytes; below
+# it, one f-string per entry is faster.  The byte path wins from about 30
+# entries in the reach layout and 35-40 in the report's at depth 3 (n = 5, 8,
+# 9 and 13); at 200 entries it is 4x and 2x faster.
+BYTE_MATRIX_MIN = 40
 
 # Entries per block of a long listing: memory grows with the block, not with
 # the listing.  On perfbench's pairspace_reach (n = 7-9) the peak resident set
-# read 48.9 MB with 2^14, 50.8 MB with 2^15 and 51.0 MB with 2^16 entries
-# (2-core VM, numpy 2.4), at the same speed.
+# read 38.8-39.0 MB with 2^14, 40.2-40.5 MB with 2^15 and 40.4-40.9 MB with
+# 2^16 entries (2-core VM, Python 3.11, numpy 2.4), at the same speed.
 LISTING_BLOCK = 1 << 14
 
 # How _write_pairs lays out a listing: the texts before an entry's index,
@@ -211,17 +213,41 @@ def _words(text: str, width: int = 0) -> np.ndarray:
     return np.frombuffer(data + bytes(-len(data) % 4), dtype=np.uint32)
 
 
+@cache
+def _state_items(n: int, before: str, after: str) -> np.ndarray:
+    """``before + str(s) + after`` for the states s = 1..2^n < 10^4, one item each.
+
+    Each number is its word from :func:`_digit_words`, with leading NULs,
+    and each item is NUL-padded to a power-of-two width, so a table ``take``
+    copies whole words.
+    """
+    digits = _digit_words()[1 : (1 << n) + 1].view(np.uint8).reshape(-1, 4)
+    end = len(before) + 4  # where the number ends
+    width = 1 << (end + len(after) - 1).bit_length()
+    table = np.zeros((1 << n, width), np.uint8)
+    table[:, : end - 4] = np.frombuffer(before.encode("ascii"), np.uint8)
+    table[:, end - 4 : end] = digits
+    table[:, end : end + len(after)] = np.frombuffer(after.encode("ascii"), np.uint8)
+    return table.view(f"V{width}").ravel()
+
+
 def _write_pairs(write, z: np.ndarray, n: int, layout=REACH_LAYOUT) -> None:
     """Write the listing of the 0-based pair indices ``z`` (1-based, in ``layout``).
 
     The default layout gives ``{z=(i,j), ...}``.  A listing of at least
-    ``BYTE_MATRIX_MIN`` entries is written as rows of ``uint32`` words, one
-    row per entry: each number in 4-digit chunks from :func:`_digit_words`,
-    zero-padded below its leading chunk, with the layout's texts as words
-    around them.  Each column has the chunks of its bound, 4^n or 2^n; a
-    leading chunk of zero is word 0, all NUL, and dropping the NUL bytes
-    leaves the text.  The columns are made and the rows written in blocks of
-    ``LISTING_BLOCK`` entries, so no listing's columns are held whole.
+    ``BYTE_MATRIX_MIN`` entries is written as rows of bytes, one row per
+    entry, in blocks of ``LISTING_BLOCK`` entries, so no listing's text or
+    columns are held whole; one ``bytes.translate`` drops the NUL padding of
+    each block.  Numbers are 4-digit chunks from :func:`_digit_words`, with
+    NULs for leading zeros and zero-padded below the leading chunk.
+
+    While every state number is one chunk (2^n < 10^4, so n <= 13), a row
+    is the index as its two chunk words, then ``mid + str(i) + sep`` and
+    ``str(j) + tail + between + head`` as ``take``s from the per-state item
+    tables of :func:`_state_items`; the last entry's ``between + head`` is
+    cut from the text and the closing text put after it.  For larger n each
+    column has the chunks of its bound, 4^n or 2^n, with the layout's texts
+    as words between them.
     """
     head, mid, sep, tail, between, opening, closing, empty = layout
     mask = (1 << n) - 1
@@ -235,6 +261,26 @@ def _write_pairs(write, z: np.ndarray, n: int, layout=REACH_LAYOUT) -> None:
         write(f"{opening}{entries}{closing}")
         return
     words = _digit_words()
+    if 1 << n < 10**4:
+        first, after = _state_items(n, mid, sep), _state_items(n, "", tail + between + head)
+        kind = np.dtype([("lead", np.uint32), ("low", np.uint32), ("i", first.dtype),
+                         ("j", after.dtype)])
+        write(opening + head)
+        for start in range(0, z.size, LISTING_BLOCK):
+            block = z[start : start + LISTING_BLOCK]
+            rows = np.empty(block.size, kind)
+            index = block + 1  # below 4^13 < 10^8: two chunks
+            lead = index // 10**4
+            rows["lead"] = words[lead]
+            # The low chunk c: word c below 10^4, else word 10^4 + c, c zero-padded.
+            rows["low"] = words[index - 10**4 * np.maximum(lead - 1, 0)]
+            rows["i"] = first.take(block >> n)
+            rows["j"] = after.take(block & mask)
+            text = rows.tobytes().translate(None, b"\0").decode("ascii")
+            if start + LISTING_BLOCK >= z.size:
+                text = text[: len(text) - len(between + head)] + closing
+            write(text)
+        return
     chunks = [-(-len(str(bound)) // 4) for bound in (1 << 2 * n, 1 << n, 1 << n)]
     literals = [_words(text) for text in (head, mid, sep)]
     # The text after an entry and after the last entry, padded to one width.

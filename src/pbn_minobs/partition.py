@@ -204,10 +204,12 @@ def partition_states(model: PbnModel) -> Partition:
     s0 is the diagonal.
     """
     h = model.output.col_index
-    equal = h[:, None] == h[None, :]
-    upper = np.triu(np.ones_like(equal), k=1)
+    k = np.arange(h.size)
+    upper = k[:, None] < k
+    equal = h[:, None] == h
+    s2 = np.greater(upper, equal)  # i < j with unequal outputs
     return Partition(
         s0=diagonal_set(model.n),
-        s1=StateSet._own((equal & upper).reshape(-1)),
-        s2=StateSet._own((~equal & upper).reshape(-1)),
+        s1=StateSet._own(np.logical_and(equal, upper, out=equal).reshape(-1)),
+        s2=StateSet._own(s2.reshape(-1)),
     )

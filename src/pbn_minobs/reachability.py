@@ -57,13 +57,16 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
     its mirror too, and the layers and the union hold the i <= j half.
 
     Each pending state watches one successor, as SAT solvers watch literals:
-    first its row-0 successor, later the first successor in row order that
-    had not arrived when the state was last tested.  A layer reads each
-    watch once and tests all k successors only of the states whose watch has
-    arrived.  A failed test moves the watch to a later row, so a state is
-    fully tested at most k times.  Arrived states watch a sentinel cell that
-    never arrives and are dropped from the pending list once they make up
-    half of it.
+    first its row-0 successor, later the smallest successor that had not
+    arrived when the state was last tested.  A layer reads each watch once
+    and tests all k successors only of the states whose watch has arrived.
+    Each test after the first is set off by the arrival of a successor that
+    had not arrived at the test before, so a state is fully tested at most k
+    times.  The arrived successors of a tested state read as a sentinel cell
+    that never arrives, so the new watch is the sentinel exactly when every
+    successor has arrived: then the state arrives, and it keeps watching the
+    sentinel.  Arrived states are dropped from the pending list once they
+    make up half of it.
     """
     if target.universe != aug.pair_count:
         raise ValueError("state sets must live in the augmented pair space")
@@ -91,14 +94,12 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
             break
         layer = pending[ready]
         succ = aug.successors(layer)
-        inside = arrived[succ]
-        # The first successor not yet arrived (row 0 where all have: those pass).
-        watch[ready] = succ[inside.argmin(axis=0), np.arange(layer.size)]
-        keep = inside.all(axis=0).nonzero()[0]
+        np.putmask(succ, arrived[succ], sentinel)
+        watch[ready] = succ = succ.min(axis=0)  # the sentinel where every successor has arrived
+        keep = (succ == sentinel).nonzero()[0]
         if not keep.size:
             break
         ready, layer = ready[keep], layer[keep]
-        watch[ready] = sentinel
         arrived[layer] = True
         arrived[mirror[ready]] = True
         layers.append(layer)

@@ -208,7 +208,8 @@ def test_successors_from_the_maps_are_the_positive_probability_pair_maps():
         aug = build_augmented(model)
         k, size = len(model.active), model.state_count
         assert aug.maps.shape == (k, size) and aug.maps.dtype == np.intp
-        assert not aug.maps.flags.writeable
+        assert not aug.maps.flags.writeable and not aug.shifted.flags.writeable
+        assert np.array_equal(aug.shifted, aug.maps << model.n)
         pairs = np.arange(aug.pair_count)
         succ = aug.successors(pairs)
         assert succ.shape == (k, size * size) and succ.dtype == np.intp
@@ -221,8 +222,10 @@ def test_successors_from_the_maps_are_the_positive_probability_pair_maps():
 
 def test_q_matrix_is_built_on_first_access_within_budget(apoptosis):
     aug = build_augmented(apoptosis)
-    # The system holds its model and the k x 2^n maps; nothing sized by the pair space.
-    assert set(vars(aug)) == {"model", "maps"}
+    # The system holds its model, the k x 2^n maps and the maps shifted by n;
+    # nothing sized by the pair space.
+    assert set(vars(aug)) == {"model", "maps", "shifted"}
+    assert aug.shifted.shape == aug.maps.shape
     assert aug.q_matrix is aug.q_matrix
 
     def time_q_build():

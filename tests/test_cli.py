@@ -486,8 +486,16 @@ def test_pair_formatter_matches_plain_join(monkeypatch, shortest):
     listings = [(np.array([0]), 1), (np.array([4**10 - 1]), 10), (np.array([5]), 31)]
     for size in (BYTE_MATRIX_MIN - 1, BYTE_MATRIX_MIN, BYTE_MATRIX_MIN + 1):
         listings.append((np.sort(rng.choice(4**7, size, replace=False)), 7))
+    # At n = 13, the largest n of the per-state tables, one block holds the
+    # index values 9999, 10^4, 10^7 - 1 and 10^7, and state 2^13 in either column.
+    top = 2**13
+    edges = np.array([9999, 10**4, 10**7 - 1, 10**7]) - 1
+    pairs = _pairs_at([top, 1, top, 9999 % top], [1, top, top, top], 13)
+    spread = rng.choice(4**13, BYTE_MATRIX_MIN)
+    listings.append((np.concatenate([spread[:5], edges, pairs, spread[5:]]), 13))
     # Digit-chunk edges of the index, and of i and j next to every other edge,
-    # where each column's bound has more chunks than its values (n = 14, 27, 31).
+    # where each column's bound has more chunks than its values (n = 14, 27, 31:
+    # the chunk columns past the tables).
     chunk_edges = np.array([1, 9999, 10**4, 10**4 + 1, 10**8 - 1, 10**8, 10**12, 10**16])
     for n in (14, 27, 31):
         index_edges = chunk_edges[chunk_edges <= 4**n]

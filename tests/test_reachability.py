@@ -1,9 +1,11 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from pbn_minobs import (
+    AugmentedSystem,
     LogicalMatrix,
     PbnModel,
     StateSet,
@@ -387,3 +389,51 @@ def test_build_and_reach_never_make_a_k_by_pair_space_array():
             tracemalloc.stop()
         assert result.steps
         assert peak < 4 * 4**7 * np.dtype(np.int64).itemsize, peak
+
+
+def _swapping_map(rng, size):
+    """A state map that swaps random disjoint pairs of states and fixes the rest."""
+    image = np.arange(size)
+    moved = rng.permutation(size)[: 2 * int(rng.integers(1, size // 2 + 1))].reshape(-1, 2)
+    image[moved[:, 0]], image[moved[:, 1]] = moved[:, 1], moved[:, 0]
+    return LogicalMatrix(size, image + 1)
+
+
+def test_reach_fully_tests_each_pending_state_at_most_k_times(monkeypatch):
+    # A full test reads all k successors of a state; the watch reads only row 0.
+    tests = Counter()
+    full_read = AugmentedSystem.successors
+
+    def counted(self, z, rows=slice(None)):
+        if rows == slice(None):
+            tests.update(z.tolist())
+        return full_read(self, z, rows)
+
+    monkeypatch.setattr(AugmentedSystem, "successors", counted)
+    rng = np.random.default_rng(2024)
+    seen = {"swapping": 0, "zero probability": 0, "retested": 0, "k tests": 0}
+    for t in range(200):
+        model = random_model(rng, n=2 + t % 5, m=int(rng.integers(1, 5)))
+        if t % 2:
+            swaps = _swapping_map(rng, model.state_count)
+            model = PbnModel(n=model.n, q=model.q, transitions=(swaps, *model.transitions[1:]),
+                             output=model.output, probs=model.probs)
+        aug = build_augmented(model)
+        k, size = aug.maps.shape
+        states = np.arange(size)
+        back = np.take_along_axis(aug.maps, aug.maps, axis=1) == states  # f(f(i)) = i
+        seen["swapping"] += bool((back & (aug.maps != states)).any())
+        seen["zero probability"] += k < model.m
+        pairs = aug.pair_count
+        raw = rng.integers(1, pairs + 1, size=int(rng.integers(1, pairs // 4 + 2)))
+        for target in (partition_states(model).s2, StateSet.from_indices(pairs, raw)):
+            tests.clear()
+            result = robust_reach(target, aug)
+            most = max(tests.values(), default=0)
+            assert most <= k
+            seen["retested"] += most > 1
+            seen["k tests"] += most == k > 1
+            closed = mirror_close(target, model.n)
+            assert mirror_close(result.union, model.n) == robust_reach_oracle(closed, model)
+    assert seen["swapping"] >= 100 and seen["zero probability"] >= 30, seen
+    assert seen["retested"] >= 80 and seen["k tests"] >= 30, seen
