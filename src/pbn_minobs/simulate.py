@@ -8,15 +8,16 @@ those generators: it derives every trial's PCG64 state with numpy's
 ``SeedSequence`` mixing done as uint32 array arithmetic, draws each live
 trial's uniforms a block at a time by LCG jump-ahead, walks every live pair
 through the block together and finds each trial's first separation or merge
-with one ``argmax``.  The draws are bit-identical to the generators', so the
-estimate equals the plain per-trial loop exactly.
+with one ``argmax``.  Blocks start at 2 steps and double up to 1024, so a
+trial that ends at step s draws fewer than 2s + 2 steps.  The draws are
+bit-identical to the generators', so the estimate equals the plain per-trial
+loop exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
 
 import numpy as np
 
@@ -27,8 +28,10 @@ from .partition import StateSet, pair_index
 DEFAULT_STEP_BUDGET = 10**7
 
 # Live trials x block steps in one block of the estimate.  It bounds the
-# block's arrays (a 9 MB tracemalloc peak) for every trial count; trials run
-# in chunks small enough for the first, 8-step block.
+# block's arrays (a 9 MB tracemalloc peak) for every trial count.  Blocks
+# start at 2 steps and double up to _MAX_BLOCK; trials run in chunks of
+# _CHUNK, which keeps the first block unclipped and bounds each chunk's seed
+# arrays.
 _BLOCK_CELLS = 1 << 16
 _CHUNK = _BLOCK_CELLS // 8
 _MAX_BLOCK = 1024
@@ -96,18 +99,18 @@ def sample_trajectory(model: PbnModel, x0: int, horizon: int, seed: int) -> Traj
     return Trajectory(tuple(states), tuple(outputs), tuple(v + 1 for v in switches), seed)
 
 
-def _hash_steps(init: int, mult: int):
-    """SeedSequence's running hash constant: the (xor, multiply) pair of each call."""
-    h = init
-    while True:
-        nxt = h * mult & _M32
-        yield h, nxt
-        h = nxt
+@cache
+def _hash_consts(init: int, mult: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's running hash constant: the (xor, multiply) pairs of calls
+    ``start``..``start + count - 1``, as (count, 1) uint32 columns."""
+    calls = range(start, start + count + 1)
+    col = np.array([init * pow(mult, i, 1 << 32) & _M32 for i in calls], dtype=np.uint32)
+    return col[:-1, None], col[1:, None]
 
 
-def _hashmix(value: np.ndarray, steps) -> np.ndarray:
-    x, y = next(steps)
-    value = (value ^ np.uint32(x)) * np.uint32(y)
+def _hashmix(value: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    x, y = consts
+    value = (value ^ x) * y
     return value ^ (value >> _U16)
 
 
@@ -122,42 +125,38 @@ def _seed_words(base: int, count: int) -> np.ndarray:
     The entropy of ``base + t`` is its little-endian uint32 words; a seed below
     2^128 has at most four, and a missing word hashes like a zero word, so every
     lane pads to four.  ``count`` < 2^64, so the lanes' words above the low 64
-    bits take one of two values: the base's, or that plus the carry.
+    bits take one of two values: the base's, or that plus the carry.  The pool
+    is one (4, count) array; each source word's round updates the other three
+    pool words at once, as none of them feeds another within the round.
     """
     low_base = np.uint64(base & _M64)
     low = low_base + np.arange(count, dtype=np.uint64)
     carry = low < low_base
     highs = (base >> 64, (base >> 64) + 1)
-    words = [(low & _LOW32).astype(np.uint32), (low >> _S32).astype(np.uint32)]
-    for shift in (0, 32):
-        plain, carried = (np.uint32(h >> shift & _M32) for h in highs)
-        words.append(np.where(carry, carried, plain))
+    high_words = np.array([[h >> s & _M32 for h in highs] for s in (0, 32)], dtype=np.uint32)
+    words = np.empty((4, count), dtype=np.uint32)
+    words[0], words[1] = low & _LOW32, low >> _S32
+    words[2:] = np.where(carry, high_words[:, 1:], high_words[:, :1])
 
-    steps = _hash_steps(_INIT_A, _MULT_A)
-    pool = [_hashmix(w, steps) for w in words]
+    pool = _hashmix(words, _hash_consts(_INIT_A, _MULT_A, 0, 4))
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(pool[src], _hash_consts(_INIT_A, _MULT_A, 4 + 3 * src, 3))
+        pool[dst] = _mix(pool[dst], hashed)
     # Seeds of 2^128 and above have words past the pool.  numpy mixes each one
-    # into every pool word, hashing it afresh for every (word, pool word) pair.
+    # into every pool word, hashing it afresh for every pool word.
     for high, lanes in zip(highs, (~carry, carry)):
         extra = high >> 64
         if not extra or not lanes.any():
             continue
-        part = [p[lanes] for p in pool]
-        steps = islice(_hash_steps(_INIT_A, _MULT_A), 16, None)
-        while extra:
-            word = np.full(len(part[0]), extra & _M32, dtype=np.uint32)
-            for dst in range(4):
-                part[dst] = _mix(part[dst], _hashmix(word, steps))
-            extra >>= 32
-        for p, q in zip(pool, part):
-            p[lanes] = q
+        part = pool[:, lanes]
+        for w in range(-(-extra.bit_length() // 32)):
+            word = np.uint32(extra >> 32 * w & _M32)
+            part = _mix(part, _hashmix(word, _hash_consts(_INIT_A, _MULT_A, 16 + 4 * w, 4)))
+        pool[:, lanes] = part
 
-    steps = _hash_steps(_INIT_B, _MULT_B)
-    out = [_hashmix(pool[i % 4], steps).astype(np.uint64) for i in range(8)]
-    return np.stack([out[i] | (out[i + 1] << _S32) for i in range(0, 8, 2)])
+    out = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 0, 8)).astype(np.uint64)
+    return out[0::2] | (out[1::2] << _S32)
 
 
 @cache
@@ -236,7 +235,7 @@ def _count_separations(
     state = _pcg_states(base, count)
     pos = np.repeat(np.array([x0 - 1, x0_other - 1], dtype=np.intp), count)
     hits = done = 0
-    step = 8
+    step = 2
     while done < horizon and state.shape[1]:
         live = state.shape[1]
         k = min(step, horizon - done, _BLOCK_CELLS // live)

@@ -255,19 +255,17 @@ def test_bulk_seeds_match_numpy_generators():
         _assert_substreams(edge - 3, 6)
 
 
-def _reference_estimate(model, x0, x0_other, horizon, trials, seed):
-    """The plain per-trial loop: one default_rng(seed + t) generator per trial."""
+def _reference_loop(model, x0, x0_other, horizon, trials, seed):
+    """The plain per-trial loop on an output-equal distinct pair, one
+    default_rng(seed + t) generator per trial: (separated trials, steps run)."""
     out = model.output.col_index
-    if x0 == x0_other:
-        return 0.0
-    if out[x0 - 1] != out[x0_other - 1]:
-        return 1.0
     cumulative = np.cumsum(model.probs)
-    hits = 0
+    hits = steps = 0
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         a, b = x0, x0_other
         for _ in range(horizon):
+            steps += 1
             v = _reference_switch(model, cumulative, rng)
             a = model.transitions[v].column(a)
             b = model.transitions[v].column(b)
@@ -276,7 +274,28 @@ def _reference_estimate(model, x0, x0_other, horizon, trials, seed):
                 break
             if a == b:
                 break
-    return hits / trials
+    return hits, steps
+
+
+def _reference_estimate(model, x0, x0_other, horizon, trials, seed):
+    """The per-trial loop's estimate, with the estimator's answers for equal
+    states and output-different pairs."""
+    out = model.output.col_index
+    if x0 == x0_other:
+        return 0.0
+    if out[x0 - 1] != out[x0_other - 1]:
+        return 1.0
+    return _reference_loop(model, x0, x0_other, horizon, trials, seed)[0] / trials
+
+
+def _equal_output_pairs(model):
+    out = model.output.col_index
+    return [
+        (i, j)
+        for i in range(1, model.state_count + 1)
+        for j in range(i + 1, model.state_count + 1)
+        if out[i - 1] == out[j - 1]
+    ]
 
 
 def _lazy_cycle(n):
@@ -298,13 +317,7 @@ def test_estimate_matches_per_trial_loop():
     checked = strict = 0
     while checked < 300:
         model = random_model(rng, n=int(rng.integers(1, 6)), m=int(rng.integers(1, 5)))
-        out = model.output.col_index
-        pairs = [
-            (i, j)
-            for i in range(1, model.state_count + 1)
-            for j in range(i + 1, model.state_count + 1)
-            if out[i - 1] == out[j - 1]
-        ]
+        pairs = _equal_output_pairs(model)
         if not pairs:
             continue
         i, j = pairs[int(rng.integers(len(pairs)))]
@@ -315,12 +328,48 @@ def test_estimate_matches_per_trial_loop():
         checked += 1
         strict += 0.0 < expected < 1.0
     assert strict > 30
-    # Past two full 1024-step blocks, and trials that span a chunk boundary.
+    # Past two full 1024-step blocks, trials that span a chunk boundary, and
+    # blocks of 9 and 10 steps clipped by the cell cap at 7114 and 6520 live
+    # trials.
     model = _lazy_cycle(5)
-    for (i, j), horizon, trials in (((32, 31), 2500, 20), ((2, 5), 12, simulate._CHUNK + 40)):
+    for (i, j), horizon, trials in (
+        ((32, 31), 2500, 20),
+        ((2, 5), 12, simulate._CHUNK + 40),
+        ((2, 5), 40, simulate._CHUNK),
+    ):
         expected = _reference_estimate(model, i, j, horizon, trials, 5)
         assert 0.0 < expected < 1.0
         assert estimate_distinguishability(model, i, j, horizon, trials, 5) == expected
+
+
+def test_estimate_draws_at_most_twice_the_steps_trials_run(monkeypatch):
+    # Blocks of 2, 4, 8, ... steps: a trial that ends at step s has drawn
+    # fewer than 2s + 2 steps when its block ends.
+    advance = simulate._advance
+    drawn = 0
+
+    def counting_advance(state, k):
+        nonlocal drawn
+        drawn += k * state.shape[1]
+        return advance(state, k)
+
+    monkeypatch.setattr(simulate, "_advance", counting_advance)
+    rng = np.random.default_rng(78)
+    checked = 0
+    while checked < 60:
+        model = random_model(rng, n=int(rng.integers(1, 6)))
+        pairs = _equal_output_pairs(model)
+        if not pairs:
+            continue
+        i, j = pairs[int(rng.integers(len(pairs)))]
+        horizon, trials = int(rng.integers(1, 60)), int(rng.integers(1, 400))
+        seed = int(rng.integers(0, 2**63))
+        hits, steps = _reference_loop(model, i, j, horizon, trials, seed)
+        drawn = 0
+        assert estimate_distinguishability(model, i, j, horizon, trials, seed) == hits / trials
+        # _pcg_states takes one seeding step per trial.
+        assert drawn - trials <= 2 * steps + 2 * trials, (drawn - trials, steps, trials)
+        checked += 1
 
 
 def test_estimate_memory_does_not_grow_with_trials(apoptosis):
