@@ -146,7 +146,7 @@ def _emit(value, pad: str, write) -> None:
     kind = type(value)
     if kind is StateSet:
         n = (value.universe.bit_length() - 1) // 2  # universe = 4^n = 2^(2n)
-        _write_pairs(write, np.flatnonzero(value.bits), n, _json_layout(pad))
+        _write_pairs(write, value.bits.nonzero()[0], n, _json_layout(pad))
     elif kind is int:
         write(str(value))
     elif kind is str:
@@ -317,7 +317,7 @@ def _fmt_pairs(z: np.ndarray, n: int) -> str:
 
 def _summary_lines(model: PbnModel, analysis: AnalysisReport, plan: SensorPlan | None) -> list[str]:
     def listing(states: StateSet) -> str:
-        return _fmt_pairs(np.flatnonzero(states.bits), model.n)
+        return _fmt_pairs(states.bits.nonzero()[0], model.n)
 
     lines = [
         f"states={model.n} outputs={model.q} subnetworks={model.m}",
@@ -463,12 +463,12 @@ def cmd_reach(args) -> int:
     # Each listing is an i <= j half; the counts are of the mirror closures.
     write = sys.stdout.write
     write(f"target ({_closed_count(target, n)} states, mirror-closed): ")
-    _write_pairs(write, np.flatnonzero(target.bits), n)
+    _write_pairs(write, target.bits.nonzero()[0], n)
     for step, layer in enumerate(result.layers, start=1):
         write(f"\nlayer {step}: ")
         _write_pairs(write, layer, n)
     write(f"\nunion ({_closed_count(result.union, n)} states in {result.steps} layers): ")
-    _write_pairs(write, np.flatnonzero(result.union.bits), n)
+    _write_pairs(write, result.union.bits.nonzero()[0], n)
     write("\n")
     return EXIT_OK
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +387,9 @@ _SECTION_RE = re.compile(r"\[\s*(net\s+(\d+)|output)\s*\]$")
 _RULE_RE = re.compile(r"x(\d+)'\s*=\s*(?=\S)")
 _OUTPUT_RULE_RE = re.compile(r"y(\d+)\s*=\s*(?=\S)")
 _LITERAL_RE = re.compile(r"([LH])\s*=\s*delta(\d+)\s*\[([^\]]*)\]$")
+# A literal body of ASCII digit runs and blanks, read in one numpy call.
+_PLAIN_BODY_RE = re.compile(r"[ \t]*[0-9][0-9 \t]*")
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class _Block:
@@ -477,11 +480,7 @@ def parse_model(text: str) -> PbnModel:
                     f"expected a {expected_kind} literal in this section", line=line_no
                 )
             try:
-                entries = [int(tok) for tok in body.split()]
-            except ValueError:
-                raise ModelFormatError(f"invalid matrix literal body {body!r}", line=line_no)
-            try:
-                current.literal = LogicalMatrix(rows, entries)
+                current.literal = LogicalMatrix(rows, _literal_entries(body, line_no))
             except ValueError as exc:
                 raise ModelFormatError(str(exc), line=line_no)
             continue
@@ -527,13 +526,13 @@ def parse_model(text: str) -> PbnModel:
         )
 
     # One truth table serves every rule; it is built for the first rule block.
-    table = cache(lambda: assignment_table(n))
+    tables: list[np.ndarray] = []
     transitions = []
     for k in range(1, m_count + 1):
         block = nets.get(k)
         if block is None:
             raise ModelFormatError(f"missing [net {k}] section")
-        transitions.append(_finish_block(block, n, table, k, is_output=False, label=f"[net {k}]"))
+        transitions.append(_finish_block(block, n, tables, k, is_output=False, label=f"[net {k}]"))
     extra = sorted(set(nets) - set(range(1, m_count + 1)))
     if extra:
         raise ModelFormatError(
@@ -543,7 +542,7 @@ def parse_model(text: str) -> PbnModel:
 
     if output_block is None:
         raise ModelFormatError("missing [output] section")
-    output = _finish_block(output_block, n, table, q, is_output=True, label="[output]")
+    output = _finish_block(output_block, n, tables, q, is_output=True, label="[output]")
 
     try:
         return PbnModel(n=n, q=q, transitions=tuple(transitions), output=output, probs=probs)
@@ -553,10 +552,27 @@ def parse_model(text: str) -> PbnModel:
         raise
 
 
+def _literal_entries(body: str, line_no: int):
+    """The column indices of a matrix literal body, as ``int`` reads each token.
+
+    A plain body (ASCII digits and blanks) is read in one numpy call.  That
+    call clamps a value past int64 to its maximum, so a body holding that
+    value is read again per token, as is every other body.
+    """
+    if _PLAIN_BODY_RE.fullmatch(body):
+        entries = np.fromstring(body, dtype=np.int64, sep=" ")
+        if entries.max() < _INT64_MAX:
+            return entries
+    try:
+        return [int(tok) for tok in body.split()]
+    except ValueError:
+        raise ModelFormatError(f"invalid matrix literal body {body!r}", line=line_no) from None
+
+
 def _finish_block(
-    block: _Block, n: int, table, count: int, is_output: bool, label: str
+    block: _Block, n: int, tables: list, count: int, is_output: bool, label: str
 ) -> LogicalMatrix:
-    """The block's matrix; ``table()`` gives the model's :func:`assignment_table`."""
+    """The block's matrix; ``tables`` holds the model's :func:`assignment_table` once built."""
     size = 1 << n
     if block.literal is not None:
         lit = block.literal
@@ -587,7 +603,9 @@ def _finish_block(
         raise ModelFormatError(
             f"{label} is missing a rule for {name}{missing}", line=block.line
         )
-    truth, per_node = table(), []
+    if not tables:
+        tables.append(assignment_table(n))
+    truth, per_node = tables[0], []
     for i in range(1, expected + 1):
         try:
             per_node.append(_node_matrix(block.rules[i], truth))

@@ -111,7 +111,7 @@ class StateSet:
         return iter(self.indices())
 
     def indices(self) -> tuple[int, ...]:
-        return tuple((np.flatnonzero(self.bits) + 1).tolist())
+        return tuple((self.bits.nonzero()[0] + 1).tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateSet):

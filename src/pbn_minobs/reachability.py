@@ -37,7 +37,14 @@ class ReachResult:
 
 
 def one_step_robust(target: StateSet, aug: AugmentedSystem, exclude: StateSet) -> StateSet:
-    """States outside ``exclude`` whose entire one-step support lies in ``target``."""
+    """States outside ``exclude`` whose entire one-step support lies in ``target``.
+
+    This is the one-step robust set of the paper's robust set reachability:
+    the states that reach ``target`` with probability one in one step.
+    :func:`robust_reach` does not call it; it is the reference that
+    ``test_layers_match_one_step_sweeps_on_random_models`` compares each
+    ``robust_reach`` layer against.
+    """
     if target.universe != aug.pair_count or exclude.universe != aug.pair_count:
         raise ValueError("state sets must live in the augmented pair space")
     z = (~exclude.bits).nonzero()[0]

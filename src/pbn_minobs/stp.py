@@ -46,8 +46,13 @@ def integer_indices(values, upper: int, what: str) -> np.ndarray:
     """``values`` as a 1-D int64 array, refusing any value the conversion would change.
 
     A fractional, NaN or infinite value raises "``what`` must be integers";
-    one beyond int64 raises "``what`` must lie in [1, ``upper``]".
+    one beyond int64 raises "``what`` must lie in [1, ``upper``]".  An int64
+    ndarray is returned as it is, since the conversion cannot change it.
     """
+    if type(values) is np.ndarray and values.dtype == np.int64:
+        if values.ndim != 1:
+            raise ValueError(f"{what} must be one-dimensional")
+        return values
     raw = np.asarray(values)
     try:
         with np.errstate(invalid="ignore"):

@@ -18,6 +18,7 @@ from pbn_minobs import (
     render_model,
     structure_matrix,
 )
+import pbn_minobs.model as model_module
 from pbn_minobs.cli import EXIT_VALIDATION, main
 from pbn_minobs.model import BinOp, Const, Not, Var, assignment_table
 from pbn_minobs.sensors import extend_output, single_variable_output
@@ -49,6 +50,71 @@ def test_matrix_literal_form(apoptosis):
     model = parse_model(text)
     assert model.transitions[0] == apoptosis.transitions[0]
     assert model.output == apoptosis.output
+
+
+# L bodies for the literal reader, each with whether it is plain: ASCII digits
+# and blanks, read in one numpy call.  That call clamps values past int64 to
+# 2^63 - 1, so a plain body holding that value is read per token like the rest.
+LITERAL_BODIES = [
+    ("1 2", True),
+    ("2\t1", True),
+    (" \t1 \t 2\t ", True),
+    ("0001 00000000000000000000000000002", True),
+    ("1 " + "9" * 18, True),
+    ("1 " + "9" * 19, True),
+    ("1 " + "9" * 20, True),
+    (f"1 {2**63 - 2}", True),
+    (f"1 {2**63 - 1}", True),
+    (f"1 {2**63}", True),
+    ("0 1", True),
+    ("1 3", True),
+    ("+5 1", False),
+    ("1_0 1", False),
+    ("\u0663 1", False),  # ARABIC-INDIC DIGIT THREE
+    ("\uff11 \uff12", False),  # FULLWIDTH DIGIT ONE, TWO
+    ("-3 1", False),
+    ("1\xa02", False),
+    ("1 2 x", False),
+    ("1 2.0", False),
+    (" \t ", False),
+    ("", False),
+]
+
+
+@pytest.mark.parametrize("rows", [2, 2**63 - 1])
+@pytest.mark.parametrize("body, plain", LITERAL_BODIES)
+def test_literal_body_reads_as_int_per_token(body, plain, rows, monkeypatch):
+    assert bool(model_module._PLAIN_BODY_RE.fullmatch(body)) == plain
+    try:
+        entries = [int(tok) for tok in body.split()]
+    except ValueError:
+        expected = f"line 6: invalid matrix literal body {body!r}"
+    else:
+        try:
+            expected = LogicalMatrix(rows, entries).col_index.tolist()
+        except ValueError as exc:
+            expected = f"line 6: {exc}"
+    built = []  # the matrices the parser builds from literals, L first
+
+    def record(*args):
+        built.append(LogicalMatrix(*args))
+        return built[-1]
+
+    monkeypatch.setattr(model_module, "LogicalMatrix", record)
+    text = (
+        "states: 1\noutputs: 1\nsubnetworks: 1\np: 1\n"
+        f"[net 1]\nL = delta{rows}[{body}]\n[output]\nH = delta2[1 2]\n"
+    )
+    outcome = None
+    try:
+        parse_model(text)
+    except ModelFormatError as err:
+        outcome = str(err)
+    if built:  # L was read; a shape other than 2 x 2 is refused after that, on line 5
+        outcome = built[0].col_index.tolist()
+    assert outcome == expected
+    if built:
+        assert built[0].col_index.dtype == np.int64
 
 
 def test_probability_vector_must_sum_to_one():
@@ -390,36 +456,42 @@ def test_render_round_trip(n, m, q, seed):
     assert parse_model(render_model(model)) == model
 
 
-# The bundled file without its comment lines, as numbers, words, runs of
-# blanks and single characters.
-MODEL_TOKENS = re.findall(
-    r"\d+|[A-Za-z_]+|\s+|.",
-    re.sub(r"(?m)^#.*\n", "", MODEL_PATH.read_text(encoding="utf-8")),
-)
-# The header sizes, which drive every allocation the parser makes.
-SIZE_POSITIONS = [
-    k
-    for k, token in enumerate(MODEL_TOKENS)
-    if token.isdigit() and MODEL_TOKENS[k - 3] in ("states", "outputs", "subnetworks")
-]
+def _model_tokens(text: str) -> list[str]:
+    """A model text as numbers, words, runs of blanks and single characters."""
+    return re.findall(r"\d+|[A-Za-z_]+|\s+|.", text)
+
+
+# The bundled file without its comment lines, in its rule form and in the
+# matrix-literal form that ``render_model`` writes.
+RULE_TEXT = re.sub(r"(?m)^#.*\n", "", MODEL_PATH.read_text(encoding="utf-8"))
+BASE_TOKENS = [_model_tokens(RULE_TEXT), _model_tokens(render_model(parse_model(RULE_TEXT)))]
+
+
+def _size_positions(tokens: list[str]) -> list[int]:
+    """The header sizes, which drive every allocation the parser makes."""
+    return [
+        k
+        for k, token in enumerate(tokens)
+        if token.isdigit() and tokens[k - 3] in ("states", "outputs", "subnetworks")
+    ]
 
 
 @st.composite
-def mutated_model_text(draw) -> str:
-    """The bundled file with one to three mutations.
+def mutated_model_text(draw, base: list[str]) -> str:
+    """The model text ``base`` (tokens) with one to three mutations.
 
     A header size may become any nonnegative integer; any token may become
-    another token of the file or up to three arbitrary characters.
+    another token of the text or up to three arbitrary characters.
     """
-    tokens = list(MODEL_TOKENS)
+    tokens = list(base)
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
-            position = draw(st.sampled_from(SIZE_POSITIONS))
+            position = draw(st.sampled_from(_size_positions(base)))
             tokens[position] = str(draw(st.integers(min_value=0)))
         else:
             position = draw(st.integers(0, len(tokens) - 1))
             tokens[position] = draw(
-                st.one_of(st.sampled_from(sorted(set(MODEL_TOKENS))), st.text(max_size=3))
+                st.one_of(st.sampled_from(sorted(set(base))), st.text(max_size=3))
             )
     return "".join(tokens)
 
@@ -428,8 +500,8 @@ def mutated_model_text(draw) -> str:
 WHOLE_DOCUMENT_ERROR = re.compile(r"missing (\[net \d+\]|\[output\]) section|missing header key '\w+'")
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.one_of(mutated_model_text(), st.text(max_size=200)))
+@settings(derandomize=True, deadline=None, max_examples=450)
+@given(st.one_of(*map(mutated_model_text, BASE_TOKENS), st.text(max_size=200)))
 def test_mutated_model_text_parses_or_is_refused(text):
     try:
         assert isinstance(parse_model(text), PbnModel)

@@ -125,6 +125,9 @@ def test_state_set_needs_integer_indices():
     assert StateSet.from_indices(10, [1.0, 2.0]).indices() == (1, 2)
     assert StateSet.from_indices(10, (k for k in (3, 4))).indices() == (3, 4)
     assert StateSet.from_indices(10, np.array([5], dtype=np.int32)).indices() == (5,)
+    for grid in (np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int32)):
+        with pytest.raises(ValueError, match="must be one-dimensional"):
+            StateSet.from_indices(10, grid)
 
 
 def test_pair_index_range_checks():

@@ -161,6 +161,9 @@ def test_logical_matrix_needs_integer_indices():
             LogicalMatrix(2, bad)
     assert LogicalMatrix(2, [1.0, 2.0]) == LogicalMatrix(2, np.array([1, 2], dtype=np.int32))
     assert LogicalMatrix(2, []).cols == 0
+    for grid in (np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int32)):
+        with pytest.raises(ValueError, match="must be one-dimensional"):
+            LogicalMatrix(2, grid)
     huge = "states: 1\noutputs: 1\nsubnetworks: 1\np: 1\n[net 1]\nL = delta2[1 %d]\n" % 10**30
     with pytest.raises(ModelFormatError, match="line 6: column indices must lie in"):
         parse_model(huge + "[output]\nH = delta2[1 2]\n")
