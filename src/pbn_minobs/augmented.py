@@ -95,7 +95,8 @@ class AugmentedSystem:
     reads the first halves from ``shifted``, the read-only ``maps << n``
     computed once with the system.  The expectation of the pair maps
     (``q_matrix``) weights them by the subnetwork probabilities and is built
-    on first read.
+    on first read, by the library and the tests: no command reads it, and
+    ``analyze --dot`` sums the s1 columns alone.
     """
 
     model: PbnModel

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import DEFAULT_SUBSET_CAP, AnalysisReport, minimal_targets
-from .augmented import AugmentedSystem, build_augmented
+from .augmented import AugmentedSystem, StochasticMatrix, build_augmented
 from .errors import InfeasibleCoverError, ModelFormatError, ResourceLimitError
 from .model import PbnModel, parse_model_file
 from .partition import (
@@ -195,8 +195,9 @@ def _json_layout(pad: str) -> tuple[str, ...]:
 def _digit_words() -> np.ndarray:
     """The strings of 0..9999 as ``uint32`` words of four ASCII bytes in order.
 
-    Word k is k with its leading zeros as NUL bytes (so 0 is all NUL); word
-    10^4 + k is k zero-padded to four digits.
+    :func:`_write_pairs` writes a pair index as these words.  Word k is k
+    with its leading zeros as NUL bytes (so 0 is all NUL); word 10^4 + k is
+    k zero-padded to four digits.
     """
     k = np.arange(10**4)
     chars = np.empty((2, 10**4, 4), dtype=np.uint8)
@@ -207,28 +208,16 @@ def _digit_words() -> np.ndarray:
     return chars.reshape(-1, 4).view(np.uint32).ravel()
 
 
-def _words(text: str, width: int = 0) -> np.ndarray:
-    """``text`` as ``uint32`` words of its ASCII bytes, NUL-padded to ``width`` bytes or more."""
-    data = text.encode("ascii").ljust(width, b"\0")
-    return np.frombuffer(data + bytes(-len(data) % 4), dtype=np.uint32)
-
-
 @cache
 def _state_items(n: int, before: str, after: str) -> np.ndarray:
-    """``before + str(s) + after`` for the states s = 1..2^n < 10^4, one item each.
+    """``before + str(s) + after`` for the states s = 1..2^n, one item each.
 
-    Each number is its word from :func:`_digit_words`, with leading NULs,
-    and each item is NUL-padded to a power-of-two width, so a table ``take``
-    copies whole words.
+    Each item is NUL-padded to a power-of-two width, so a table ``take``
+    copies whole words; in front, as ``translate`` drops it faster there.
     """
-    digits = _digit_words()[1 : (1 << n) + 1].view(np.uint8).reshape(-1, 4)
-    end = len(before) + 4  # where the number ends
-    width = 1 << (end + len(after) - 1).bit_length()
-    table = np.zeros((1 << n, width), np.uint8)
-    table[:, : end - 4] = np.frombuffer(before.encode("ascii"), np.uint8)
-    table[:, end - 4 : end] = digits
-    table[:, end : end + len(after)] = np.frombuffer(after.encode("ascii"), np.uint8)
-    return table.view(f"V{width}").ravel()
+    width = 1 << (len(f"{before}{1 << n}{after}") - 1).bit_length()  # 2^n has the most digits
+    text = "".join(f"{before}{s}{after}".rjust(width, "\0") for s in range(1, (1 << n) + 1))
+    return np.frombuffer(text.encode("ascii"), f"V{width}")
 
 
 def _write_pairs(write, z: np.ndarray, n: int, layout=REACH_LAYOUT) -> None:
@@ -238,74 +227,47 @@ def _write_pairs(write, z: np.ndarray, n: int, layout=REACH_LAYOUT) -> None:
     ``BYTE_MATRIX_MIN`` entries is written as rows of bytes, one row per
     entry, in blocks of ``LISTING_BLOCK`` entries, so no listing's text or
     columns are held whole; one ``bytes.translate`` drops the NUL padding of
-    each block.  Numbers are 4-digit chunks from :func:`_digit_words`, with
-    NULs for leading zeros and zero-padded below the leading chunk.
-
-    While every state number is one chunk (2^n < 10^4, so n <= 13), a row
-    is the index as its two chunk words, then ``mid + str(i) + sep`` and
+    each block.  A row is the index as the 4-digit chunk words of
+    :func:`_digit_words` that 4^n needs, with NULs for leading zeros and
+    zero-padded below the leading chunk, then ``mid + str(i) + sep`` and
     ``str(j) + tail + between + head`` as ``take``s from the per-state item
     tables of :func:`_state_items`; the last entry's ``between + head`` is
-    cut from the text and the closing text put after it.  For larger n each
-    column has the chunks of its bound, 4^n or 2^n, with the layout's texts
-    as words between them.
+    cut from the text and the closing text put after it.  Shorter listings,
+    and those past ``dimension_cap()`` (which ``build_augmented`` refuses
+    first), are one f-string per entry, so no call builds a table that large.
     """
     head, mid, sep, tail, between, opening, closing, empty = layout
     mask = (1 << n) - 1
     if not z.size:
         write(empty)
         return
-    if z.size < BYTE_MATRIX_MIN:
+    if z.size < BYTE_MATRIX_MIN or 1 << 2 * n > dimension_cap():
         entries = between.join(
             [f"{head}{k + 1}{mid}{(k >> n) + 1}{sep}{(k & mask) + 1}{tail}" for k in z.tolist()]
         )
         write(f"{opening}{entries}{closing}")
         return
     words = _digit_words()
-    if 1 << n < 10**4:
-        first, after = _state_items(n, mid, sep), _state_items(n, "", tail + between + head)
-        kind = np.dtype([("lead", np.uint32), ("low", np.uint32), ("i", first.dtype),
-                         ("j", after.dtype)])
-        write(opening + head)
-        for start in range(0, z.size, LISTING_BLOCK):
-            block = z[start : start + LISTING_BLOCK]
-            rows = np.empty(block.size, kind)
-            index = block + 1  # below 4^13 < 10^8: two chunks
-            lead = index // 10**4
-            rows["lead"] = words[lead]
-            # The low chunk c: word c below 10^4, else word 10^4 + c, c zero-padded.
-            rows["low"] = words[index - 10**4 * np.maximum(lead - 1, 0)]
-            rows["i"] = first.take(block >> n)
-            rows["j"] = after.take(block & mask)
-            text = rows.tobytes().translate(None, b"\0").decode("ascii")
-            if start + LISTING_BLOCK >= z.size:
-                text = text[: len(text) - len(between + head)] + closing
-            write(text)
-        return
-    chunks = [-(-len(str(bound)) // 4) for bound in (1 << 2 * n, 1 << n, 1 << n)]
-    literals = [_words(text) for text in (head, mid, sep)]
-    # The text after an entry and after the last entry, padded to one width.
-    width = len(tail) + max(len(between), len(closing))
-    after, last = (_words(tail + text, width) for text in (between, closing))
-    write(opening)
+    first, after = _state_items(n, mid, sep), _state_items(n, "", tail + between + head)
+    chunks = -(-len(str(1 << 2 * n)) // 4)
+    kind = np.dtype([("index", np.uint32, (chunks,)), ("i", first.dtype), ("j", after.dtype)])
+    write(opening + head)
     for start in range(0, z.size, LISTING_BLOCK):
         block = z[start : start + LISTING_BLOCK]
-        fields = (block + 1, (block >> n) + 1, (block & mask) + 1)  # 1-based index, i, j
-        rows = np.empty((block.size, sum(chunks) + sum(map(len, literals)) + after.size), np.uint32)
-        col = 0
-        for literal, rest, count in zip(literals, fields, chunks):
-            rows[:, col : col + literal.size] = literal
-            col += literal.size
-            for place in range(count - 1, 0, -1):  # the chunks below the leading one
-                higher = rest // 10**4
-                # the zero-padded word where a higher chunk is nonzero
-                rows[:, col + place] = words[rest - higher * 10**4 + (higher > 0) * 10**4]
-                rest = higher
-            rows[:, col] = words[rest]
-            col += count
-        rows[:, col:] = after
+        rows = np.empty(block.size, kind)
+        index, rest = rows["index"], block + 1
+        for place in range(chunks - 1, 0, -1):  # the chunks below the leading one
+            higher = rest // 10**4
+            # rest = 10^4 * higher + c: word c while higher is 0, else word 10^4 + c.
+            index[:, place] = words[rest - 10**4 * np.maximum(higher - 1, 0)]
+            rest = higher
+        index[:, 0] = words[rest]
+        rows["i"] = first.take(block >> n)
+        rows["j"] = after.take(block & mask)
+        text = rows.tobytes().translate(None, b"\0").decode("ascii")
         if start + LISTING_BLOCK >= z.size:
-            rows[-1, col:] = last
-        write(rows.tobytes().translate(None, b"\0").decode("ascii"))
+            text = text[: len(text) - len(between + head)] + closing
+        write(text)
 
 
 def _fmt_pairs(z: np.ndarray, n: int) -> str:
@@ -347,22 +309,26 @@ def write_s1_graph(path, aug: AugmentedSystem, part: Partition) -> None:
     """DOT graph of the indistinguishable pairs and where their mass flows.
 
     Vertices are the canonical s1 pairs; transitions leaving s1 are folded
-    into aggregate s0 / s2 sink nodes.  Edge labels carry probabilities.
+    into aggregate s0 / s2 sink nodes.  Edge labels carry probabilities, the
+    s1 columns of ``q_matrix`` summed in its order, built for s1 alone.
     """
     n = aug.model.n
     s1 = part.s1
-    s0 = part.s0
     lines = ["digraph s1_transitions {", "  rankdir=LR;", '  node [shape=ellipse];']
     for z in s1.indices():
         i, j = pair_split(z, n)
         lines.append(f'  "z{z}" [label="{z} ({i},{j})"];')
     used_sinks = set()
     edges = []
-    for z in s1.indices():
+    if s1:  # column c of flow is the c-th s1 member's
+        probs = aug.model.probs
+        flow = StochasticMatrix(aug.pair_count, aug.successors(s1.bits.nonzero()[0]),
+                                [probs[v] for v in aug.active])
+    for col, z in enumerate(s1.indices(), start=1):
         flows: dict[str, float] = {}
-        for row, prob in aug.q_matrix.column_dict(z).items():
+        for row, prob in flow.column_dict(col).items():
             row = min(row, mirror_index(row, n))
-            if row in s0:
+            if row in part.s0:
                 key = "S0"
             elif row in part.s2:
                 key = "S2"
@@ -387,11 +353,11 @@ def _closed_count(half: StateSet, n: int) -> int:
     return 2 * len(half) - int(np.count_nonzero(half.bits[:: (1 << n) + 1]))
 
 
-def _parse_target(spec: str, part: Partition, n: int, universe: int) -> StateSet:
+def _parse_target(spec: str, model: PbnModel, universe: int) -> StateSet:
     """The i <= j half of a ``reach`` target: an S0/S1/S2 part, or listed pairs as (min, max)."""
     name = spec.strip().lower()
     if name in ("s0", "s1", "s2"):
-        return getattr(part, name)
+        return getattr(partition_states(model), name)
     try:
         indices = [int(tok) for tok in spec.replace(",", " ").split()]
     except ValueError:
@@ -402,6 +368,7 @@ def _parse_target(spec: str, part: Partition, n: int, universe: int) -> StateSet
         if not 1 <= k <= universe:
             raise ValueError(f"target index {k} out of range [1, {universe}]")
     z = np.array(indices) - 1
+    n = model.n
     first, second = z >> n, z & ((1 << n) - 1)
     low, high = np.minimum(first, second), np.maximum(first, second)
     return StateSet.from_indices(universe, (low << n | high) + 1)
@@ -458,7 +425,7 @@ def cmd_reach(args) -> int:
     model = parse_model_file(args.path)
     aug = build_augmented(model)
     n = model.n
-    target = _parse_target(args.target, partition_states(model), n, aug.pair_count)
+    target = _parse_target(args.target, model, aug.pair_count)
     result = robust_reach(target, aug)
     # Each listing is an i <= j half; the counts are of the mirror closures.
     write = sys.stdout.write

@@ -358,6 +358,49 @@ def test_only_dot_builds_the_expectation_matrix(capsys, monkeypatch, tmp_path):
         main(["analyze", str(MODEL_PATH), "--quiet", "--dot", str(tmp_path / "s1.dot")])
 
 
+def test_dot_reads_only_the_s1_columns(capsys, monkeypatch, tmp_path):
+    import pbn_minobs.analysis as analysis_mod
+
+    reports = []
+
+    def kept(model, **kwargs):
+        reports.append(analysis_mod.minimal_targets(model, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "minimal_targets", kept)
+    code, _, _ = run(capsys, "analyze", MODEL_PATH, "--quiet", "--dot", tmp_path / "s1.dot")
+    assert code == EXIT_OK
+    # The cached q_matrix would sit in the system's __dict__ once read.
+    assert "q_matrix" not in reports[0].system.__dict__
+    # An observable model has no s1 column to read.
+    path = tmp_path / "observable.pbn"
+    path.write_text("states: 1\noutputs: 1\nsubnetworks: 1\np: 1\n[net 1]\nx1' = x1\n"
+                    "[output]\ny1 = x1\n")
+    code, _, _ = run(capsys, "analyze", path, "--quiet", "--dot", tmp_path / "empty.dot")
+    assert code == EXIT_OK
+    assert (tmp_path / "empty.dot").read_text() == (
+        "digraph s1_transitions {\n  rankdir=LR;\n  node [shape=ellipse];\n}\n"
+    )
+
+
+def test_reach_index_target_builds_no_partition(capsys, monkeypatch):
+    def boom(model):
+        raise AssertionError("partition built")
+
+    monkeypatch.setattr(cli, "partition_states", boom)
+    spec = "1, 10 19 28,37 46 55 64"
+    code, out, err = run(capsys, "reach", MODEL_PATH, "--target", spec)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        "target (8 states, mirror-closed): {1=(1,1), 10=(2,2), 19=(3,3), 28=(4,4), "
+        "37=(5,5), 46=(6,6), 55=(7,7), 64=(8,8)}\n"
+        "layer 1: {2=(1,2), 20=(3,4)}\n"
+        "union (4 states in 1 layers): {2=(1,2), 20=(3,4)}\n"
+    )
+    with pytest.raises(AssertionError, match="partition built"):
+        main(["reach", str(MODEL_PATH), "--target", "S1"])
+
+
 # ---------------------------------------------------------------------------
 # Differential check of the report writer and the pair listings against the
 # stdlib encoder over one dict per pair, and plain f-strings
@@ -495,7 +538,7 @@ def test_pair_formatter_matches_plain_join(monkeypatch, shortest):
     listings.append((np.concatenate([spread[:5], edges, pairs, spread[5:]]), 13))
     # Digit-chunk edges of the index, and of i and j next to every other edge,
     # where each column's bound has more chunks than its values (n = 14, 27, 31:
-    # the chunk columns past the tables).
+    # pair spaces past the default entry cap, so one f-string per entry).
     chunk_edges = np.array([1, 9999, 10**4, 10**4 + 1, 10**8 - 1, 10**8, 10**12, 10**16])
     for n in (14, 27, 31):
         index_edges = chunk_edges[chunk_edges <= 4**n]
@@ -513,6 +556,38 @@ def test_pair_formatter_matches_plain_join(monkeypatch, shortest):
             assert "".join(_written_pairs(z, n, cli._json_layout(pad))) == _plain_json(z, n, pad)
     assert cli._fmt_pairs(np.array([], dtype=np.int64), 3) == "{}"
     assert _written_pairs(np.array([], dtype=np.int64), 3, cli._json_layout("  ")) == ["[]"]
+
+
+def test_pair_formatter_tables_past_four_digit_states(monkeypatch):
+    # With the entry cap raised to 4^17, the n = 14 and 17 listings go through
+    # the per-state tables: 3-chunk indices, and 5- and 6-digit states.
+    monkeypatch.setenv("PBN_MINOBS_MAX_DIM", str(4**17))
+    cli._state_items.cache_clear()
+    rng = np.random.default_rng(22)
+    index_edges = np.array([9999, 10**4, 10**8 - 1, 10**8]) - 1
+    for n in (14, 17):
+        states = np.array([9999, 10**4, 2**n])
+        pairs = _pairs_at(np.repeat(states, 3), np.tile(states, 3), n)  # each in either column
+        z = np.concatenate([index_edges, pairs, rng.choice(4**n, BYTE_MATRIX_MIN)])
+        assert cli._fmt_pairs(z, n) == _plain_fmt(z, n)
+        for pad in ("", "      "):
+            assert "".join(_written_pairs(z, n, cli._json_layout(pad))) == _plain_json(z, n, pad)
+    # Two tables for each of the three layouts at each n.
+    assert cli._state_items.cache_info().currsize == 12
+    cli._state_items.cache_clear()
+
+
+def test_pair_formatter_builds_no_table_past_the_entry_cap(monkeypatch):
+    monkeypatch.delenv("PBN_MINOBS_MAX_DIM", raising=False)
+
+    def boom(*args):
+        raise AssertionError("state table built")
+
+    monkeypatch.setattr(cli, "_state_items", boom)
+    n = 31
+    z = np.random.default_rng(23).integers(0, 4**n, 3 * BYTE_MATRIX_MIN)
+    assert cli._fmt_pairs(z, n) == _plain_fmt(z, n)
+    assert "".join(_written_pairs(z, n, cli._json_layout("  "))) == _plain_json(z, n, "  ")
 
 
 def _written_pairs(z, n, layout=cli.REACH_LAYOUT):
