@@ -57,8 +57,8 @@ class AnalysisReport:
 
     ``candidates`` lists every minimal pair-state set whose separation makes
     the network observable; it is empty exactly when the network already is.
-    ``system`` is the paired system the search ran on, for later stages of
-    the same command to reuse.
+    ``system`` is the paired system the search ran on, and ``system.model``
+    the model: later stages of the same command read both from here.
     """
 
     system: AugmentedSystem = field(compare=False, repr=False)
@@ -69,7 +69,6 @@ class AnalysisReport:
     one_step_diagonal: StateSet
     fixed_points: StateSet
     core: StateSet
-    core_target: StateSet
     core_reach: StateSet
     residual: StateSet
     invariant_set: StateSet
@@ -397,7 +396,6 @@ def minimal_targets(model: PbnModel, subset_cap: int = DEFAULT_SUBSET_CAP) -> An
         one_step_diagonal=diag_hitters,
         fixed_points=fixed,
         core=core,
-        core_target=core_target,
         core_reach=core_reach,
         residual=residual,
         invariant_set=invariant,

@@ -18,16 +18,10 @@ import numpy as np
 
 from . import __version__
 from .analysis import DEFAULT_SUBSET_CAP, AnalysisReport, minimal_targets
-from .augmented import AugmentedSystem, StochasticMatrix, build_augmented
+from .augmented import StochasticMatrix, build_augmented
 from .errors import InfeasibleCoverError, ModelFormatError, ResourceLimitError
 from .model import PbnModel, parse_model_file
-from .partition import (
-    Partition,
-    StateSet,
-    mirror_index,
-    pair_split,
-    partition_states,
-)
+from .partition import StateSet, mirror_index, pair_split, partition_states
 from .reachability import robust_reach
 from .sensors import SensorPlan, global_min_sensors
 from .simulate import estimate_distinguishability
@@ -57,13 +51,10 @@ REACH_LAYOUT = ("", "=(", ",", ")", ", ", "{", "}", "{}")
 
 
 def build_report(
-    path: str,
-    model: PbnModel,
-    analysis: AnalysisReport,
-    plan: SensorPlan | None,
-    timing: dict[str, float],
+    path: str, analysis: AnalysisReport, plan: SensorPlan | None, timing: dict[str, float]
 ) -> dict:
     """The report as ``write_json`` reads it: a ``StateSet`` stands for its pair listing."""
+    model = analysis.system.model
     doc = {
         "model": {
             "path": path,
@@ -106,12 +97,12 @@ def build_report(
             "min_size": plan.min_size,
             "per_candidate": [
                 {
-                    "target": c.target,
-                    "covers": [list(cover) for cover in c.covers],
-                    "size": c.size,
+                    "target": target,
+                    "covers": [list(cover) for cover in covers],
+                    "size": len(covers[0]),
                     "infeasible_reason": None,
                 }
-                for c in plan.per_candidate
+                for target, covers in zip(analysis.candidates, plan.per_candidate)
             ],
             "optima": [
                 {"candidate": pos, "variables": list(cover)} for pos, cover in plan.optima
@@ -277,7 +268,9 @@ def _fmt_pairs(z: np.ndarray, n: int) -> str:
     return "".join(parts)
 
 
-def _summary_lines(model: PbnModel, analysis: AnalysisReport, plan: SensorPlan | None) -> list[str]:
+def _summary_lines(analysis: AnalysisReport, plan: SensorPlan | None) -> list[str]:
+    model = analysis.system.model
+
     def listing(states: StateSet) -> str:
         return _fmt_pairs(states.bits.nonzero()[0], model.n)
 
@@ -305,13 +298,15 @@ def _summary_lines(model: PbnModel, analysis: AnalysisReport, plan: SensorPlan |
     return lines
 
 
-def write_s1_graph(path, aug: AugmentedSystem, part: Partition) -> None:
+def write_s1_graph(path, analysis: AnalysisReport) -> None:
     """DOT graph of the indistinguishable pairs and where their mass flows.
 
-    Vertices are the canonical s1 pairs; transitions leaving s1 are folded
-    into aggregate s0 / s2 sink nodes.  Edge labels carry probabilities, the
-    s1 columns of ``q_matrix`` summed in its order, built for s1 alone.
+    Vertices are the canonical s1 pairs of ``analysis.partition``;
+    transitions leaving s1 are folded into aggregate s0 / s2 sink nodes.
+    Edge labels carry probabilities, the s1 columns of ``q_matrix`` of
+    ``analysis.system`` summed in its order, built for s1 alone.
     """
+    aug, part = analysis.system, analysis.partition
     n = aug.model.n
     s1 = part.s1
     lines = ["digraph s1_transitions {", "  rankdir=LR;", '  node [shape=ellipse];']
@@ -399,7 +394,7 @@ def cmd_analyze(args) -> int:
     t2 = time.perf_counter()
     plan = None
     if args.sensors and not analysis.observable:
-        plan = global_min_sensors(analysis, model)
+        plan = global_min_sensors(analysis)
     t3 = time.perf_counter()
     timing = {
         "parse_s": t1 - t0,
@@ -408,15 +403,15 @@ def cmd_analyze(args) -> int:
         "total_s": t3 - t0,
     }
     if args.dot:
-        write_s1_graph(args.dot, analysis.system, analysis.partition)
-    report = build_report(args.path, model, analysis, plan, timing)
+        write_s1_graph(args.dot, analysis)
+    report = build_report(args.path, analysis, plan, timing)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as stream:
             write_json(report, stream)
     else:
         write_json(report, sys.stdout)
     if not args.quiet:
-        for line in _summary_lines(model, analysis, plan):
+        for line in _summary_lines(analysis, plan):
             print(line, file=sys.stderr)
     return EXIT_OK
 

@@ -162,7 +162,6 @@ class _ExprParser:
         self.n_vars = n_vars
         self.line = line
         self.col_base = col_base
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._tokenize()
         self.cursor = 0
@@ -361,8 +360,6 @@ class PbnModel:
             raise ModelFormatError("probabilities must lie in [0, 1]")
         if abs(sum(p) - 1.0) > PROB_SUM_TOL:
             raise ModelFormatError(f"probabilities sum to {sum(p)!r}, expected 1")
-        if not any(x > 0.0 for x in p):
-            raise ModelFormatError("at least one subnetwork probability must be positive")
 
     @property
     def m(self) -> int:
@@ -532,7 +529,7 @@ def parse_model(text: str) -> PbnModel:
         block = nets.get(k)
         if block is None:
             raise ModelFormatError(f"missing [net {k}] section")
-        transitions.append(_finish_block(block, n, tables, k, is_output=False, label=f"[net {k}]"))
+        transitions.append(_finish_block(block, n, tables, outputs=None, label=f"[net {k}]"))
     extra = sorted(set(nets) - set(range(1, m_count + 1)))
     if extra:
         raise ModelFormatError(
@@ -542,14 +539,12 @@ def parse_model(text: str) -> PbnModel:
 
     if output_block is None:
         raise ModelFormatError("missing [output] section")
-    output = _finish_block(output_block, n, tables, q, is_output=True, label="[output]")
+    output = _finish_block(output_block, n, tables, outputs=q, label="[output]")
 
     try:
         return PbnModel(n=n, q=q, transitions=tuple(transitions), output=output, probs=probs)
-    except ModelFormatError as exc:
-        if exc.line is None and "probabilit" in exc.message:
-            raise ModelFormatError(exc.message, line=header_lines["p"])
-        raise
+    except ModelFormatError as exc:  # every check but the probability ones has run
+        raise ModelFormatError(exc.message, line=header_lines["p"]) from None
 
 
 def _literal_entries(body: str, line_no: int):
@@ -570,27 +565,30 @@ def _literal_entries(body: str, line_no: int):
 
 
 def _finish_block(
-    block: _Block, n: int, tables: list, count: int, is_output: bool, label: str
+    block: _Block, n: int, tables: list, outputs: int | None, label: str
 ) -> LogicalMatrix:
-    """The block's matrix; ``tables`` holds the model's :func:`assignment_table` once built."""
+    """The matrix of a net block (``outputs`` None) or of the output block of ``outputs`` rules.
+
+    ``tables`` holds the model's :func:`assignment_table` once built.
+    """
     size = 1 << n
     if block.literal is not None:
         lit = block.literal
-        if is_output:
-            # count >= lit.rows.bit_length() already means 2^count > lit.rows,
-            # so a huge outputs: value never forms 2^count.
-            rows_ok = count < lit.rows.bit_length() and lit.rows == 1 << count
-            rows = f"2^{count}"
-        else:
+        if outputs is None:
             rows_ok, rows = lit.rows == size, size
+        else:
+            # outputs >= lit.rows.bit_length() already means 2^outputs > lit.rows,
+            # so a huge outputs: value never forms 2^outputs.
+            rows_ok = outputs < lit.rows.bit_length() and lit.rows == 1 << outputs
+            rows = f"2^{outputs}"
         if not rows_ok or lit.cols != size:
             raise ModelFormatError(
                 f"matrix literal is {lit.rows}x{lit.cols}, expected {rows}x{size}",
                 line=block.line,
             )
         return lit
-    expected = count if is_output else n
-    name = "y" if is_output else "x"
+    expected = n if outputs is None else outputs
+    name = "x" if outputs is None else "y"
     extra = sorted(t for t in block.rules if not 1 <= t <= expected)
     if extra:
         raise ModelFormatError(

@@ -168,26 +168,18 @@ def min_cover(phi: TruthMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 @dataclass(frozen=True)
-class CandidateCover:
-    """Cover search outcome for one candidate target set."""
-
-    target: StateSet
-    covers: tuple[tuple[int, ...], ...]
-    size: int
-
-
-@dataclass(frozen=True)
 class SensorPlan:
     """All minimum measurement sets, per candidate and globally.
 
-    ``optima`` pairs a candidate position (0-based into ``per_candidate``)
-    with a measurement set of globally minimum size; ``suggested`` is the
-    lexicographically smallest of those.  ``extended_observable`` records
-    the re-verification under the original output stacked with the
-    suggested measurements.
+    ``per_candidate[k]`` holds every smallest measurement set that separates
+    the report's ``candidates[k]``, all of one size.  ``optima`` pairs a
+    candidate position with a measurement set of globally minimum size;
+    ``suggested`` is the lexicographically smallest of those.
+    ``extended_observable`` records the re-verification under the original
+    output stacked with the suggested measurements.
     """
 
-    per_candidate: tuple[CandidateCover, ...]
+    per_candidate: tuple[tuple[tuple[int, ...], ...], ...]
     min_size: int
     optima: tuple[tuple[int, tuple[int, ...]], ...]
     suggested: tuple[int, tuple[int, ...]]
@@ -208,37 +200,37 @@ def extend_output(model: PbnModel, measurements) -> PbnModel:
     )
 
 
-def global_min_sensors(report: AnalysisReport, model: PbnModel) -> SensorPlan:
-    """Minimum measurements over every candidate target set, with re-verification.
+def global_min_sensors(report: AnalysisReport) -> SensorPlan:
+    """Minimum measurements over every candidate of ``report``, with re-verification.
 
-    ``report`` is ``minimal_targets(model)``; the re-verification reuses its system.
+    ``report`` is ``minimal_targets(model)``; its system holds the model, and
+    the re-verification reuses that system.
     """
     if report.observable:
         raise ValueError("model is already observable; nothing to add")
-    if report.system.model != model:
-        raise ValueError("the report was computed for a different model")
+    model = report.system.model
     n = model.n
     core = report.core
     search = _CoverSearch(n, _separations(core.bits.nonzero()[0], n))
-    per_candidate = []
     # No candidate lacks a cover: its pairs (i, j) have i < j, and distinct states
     # differ in some variable.  Each candidate is the core plus its anchor pairs.
-    for cand in report.candidates:
-        covers = search.covers(_separations((cand - core).bits.nonzero()[0], n))
-        per_candidate.append(CandidateCover(cand, covers, len(covers[0])))
-    min_size = min(c.size for c in per_candidate)
+    per_candidate = tuple(
+        search.covers(_separations((cand - core).bits.nonzero()[0], n))
+        for cand in report.candidates
+    )
+    min_size = min(len(covers[0]) for covers in per_candidate)
     optima = tuple(
         (pos, cover)
-        for pos, c in enumerate(per_candidate)
-        if c.size == min_size
-        for cover in c.covers
+        for pos, covers in enumerate(per_candidate)
+        if len(covers[0]) == min_size
+        for cover in covers
     )
     suggested = min(optima, key=lambda item: (item[1], item[0]))
     extended = extend_output(model, suggested[1])
     # The added outputs leave the pair dynamics alone, so the report's system serves.
     _, witness = distinguishable_split(report.system, partition_states(extended))
     return SensorPlan(
-        per_candidate=tuple(per_candidate),
+        per_candidate=per_candidate,
         min_size=min_size,
         optima=optima,
         suggested=suggested,

@@ -136,7 +136,7 @@ def test_criterion_4_sensor_selection(apoptosis, tmp_path, capsys):
         assert decode_state(4, 3) == (1, 0, 0) and decode_state(7, 3) == (0, 0, 1)
         assert tuple(int(b) for b in phi.column(6)) == (1, 0, 1)
 
-        plan = global_min_sensors(report, apoptosis)
+        plan = global_min_sensors(report)
         assert plan.min_size == 2
         assert tuple(cover for _, cover in plan.optima) == COVERS_EXPECTED
         for added in COVERS_EXPECTED:
@@ -269,7 +269,7 @@ def test_criterion_9_scale():
         model = random_model(rng, n=6, m=4, q=2, allow_zero_probs=False)
         start = time.perf_counter()
         report = minimal_targets(model, subset_cap=20)
-        plan = global_min_sensors(report, model) if not report.observable else None
+        plan = global_min_sensors(report) if not report.observable else None
         elapsed = time.perf_counter() - start
         assert elapsed < SCALE_BUDGET_S, f"pipeline took {elapsed:.2f} s"
         assert model.state_count**2 == 4096

@@ -256,10 +256,11 @@ def test_anchor_sets_match_exhaustive_search():
         except ResourceLimitError:
             continue
         aug = build_augmented(model)
-        first = report.core_target | report.invariant_set
+        core_target = report.core | report.partition.s2
+        first = core_target | report.invariant_set
         widened = robust_reach(mirror_close(first, model.n), aug).union
         searches = (
-            (report.invariant_set, report.core_target, report.invariant_anchors),
+            (report.invariant_set, core_target, report.invariant_anchors),
             (report.second_residual, first | widened, report.second_anchors),
         )
         for invariant, external, anchors in searches:
@@ -312,7 +313,7 @@ def test_pipeline_responsibility_partition(apoptosis):
             continue
         n = model.n
         aug = build_augmented(model)
-        gamma_closed = mirror_close(report.core_target, n)
+        gamma_closed = mirror_close(report.core | report.partition.s2, n)
         reach_gamma = robust_reach(gamma_closed, aug).union
         recombined = (
             report.core
@@ -460,7 +461,8 @@ def test_empty_invariant_set_reuses_core_reach(monkeypatch):
         assert len(targets) == reaches
         seen[reaches] += 1
         aug = report.system
-        widened_target = mirror_close(report.core_target | report.invariant_set, model.n)
+        first = report.core | report.partition.s2 | report.invariant_set
+        widened_target = mirror_close(first, model.n)
         widened = robust_reach(widened_target, aug).union
         second = report.residual - (report.invariant_set | widened)
         assert report.second_residual == second
@@ -479,12 +481,13 @@ def test_warm_started_reaches_equal_cold_ones():
         except ResourceLimitError:
             continue
         aug, n = report.system, model.n
+        core_target = report.core | report.partition.s2
         if report.indistinguishable:
-            cold = robust_reach(mirror_close(report.core_target, n), aug).union
+            cold = robust_reach(mirror_close(core_target, n), aug).union
             assert report.core_reach == cold
             checked["core"] += bool(cold)
         if report.invariant_set:
-            widened = mirror_close(report.core_target | report.invariant_set, n)
+            widened = mirror_close(core_target | report.invariant_set, n)
             warm = analysis._warm_reach(widened, report.core_reach, aug)
             assert warm == robust_reach(widened, aug).union
             checked["widened"] += 1

@@ -439,8 +439,8 @@ def _check_analyze(capsys, path, model):
     except ResourceLimitError as exc:
         assert (code, out, err) == (EXIT_RESOURCE, "", f"resource limit: {exc}\n")
         return "refused"
-    plan = None if analysis.observable else global_min_sensors(analysis, model)
-    doc = build_report(str(path), model, analysis, plan, json.loads(out)["timing"])
+    plan = None if analysis.observable else global_min_sensors(analysis)
+    doc = build_report(str(path), analysis, plan, json.loads(out)["timing"])
     assert code == EXIT_OK
     assert out == json.dumps(_reference_doc(doc, n), indent=2) + "\n"
     if analysis.observable:

@@ -24,8 +24,6 @@ from pbn_minobs.cli import EXIT_RESOURCE, EXIT_VALIDATION, main
 from pbn_minobs.model import Var
 from pbn_minobs.stp import dimension_cap
 
-from conftest import MODEL_PATH
-
 BASE = "states: 1\noutputs: 1\nsubnetworks: 1\np: 1.0\n[net 1]\nx1' = x1\n[output]\ny1 = x1\n"
 
 
@@ -61,6 +59,16 @@ BASE = "states: 1\noutputs: 1\nsubnetworks: 1\np: 1.0\n[net 1]\nx1' = x1\n[outpu
             BASE.replace("subnetworks: 1\np: 1.0", "subnetworks: 2\np: nan 1.0")
             + "[net 2]\nx1' = !x1\n",
             "line 4: probabilities must be finite",
+        ),
+        (
+            BASE.replace("subnetworks: 1\np: 1.0", "subnetworks: 2\np: 0.5 0.4")
+            + "[net 2]\nx1' = !x1\n",
+            "line 4: probabilities sum to",
+        ),
+        (
+            BASE.replace("subnetworks: 1\np: 1.0", "subnetworks: 2\np: 1.5 -0.5")
+            + "[net 2]\nx1' = !x1\n",
+            "line 4: probabilities must lie in [0, 1]",
         ),
         ("outputs: 1\n\n[net 1]\nx1' = x1\n", "line 3: missing header key 'states'"),
         (
@@ -171,20 +179,6 @@ def test_stochastic_matrix_guards(apoptosis):
     assert q.entry(1, 29) == 0.0
 
 
-def test_sensor_search_needs_the_reports_own_model(apoptosis):
-    report = minimal_targets(apoptosis)
-    other = PbnModel(
-        n=apoptosis.n,
-        q=apoptosis.q,
-        transitions=apoptosis.transitions,
-        output=apoptosis.output,
-        probs=(0.25, 0.25, 0.25, 0.25),
-    )
-    assert global_min_sensors(report, parse_model(MODEL_PATH.read_text())).min_size == 2
-    with pytest.raises(ValueError, match="different model"):
-        global_min_sensors(report, other)
-
-
 def test_all_candidates_infeasible_raises(apoptosis):
     from dataclasses import replace
 
@@ -193,7 +187,7 @@ def test_all_candidates_infeasible_raises(apoptosis):
     diagonal = StateSet.from_indices(report.system.pair_count, [1])
     broken = replace(report, candidates=tuple(c | diagonal for c in report.candidates))
     with pytest.raises(InfeasibleCoverError, match="not separated by any state variable"):
-        global_min_sensors(broken, apoptosis)
+        global_min_sensors(broken)
 
 
 def test_single_node_network_end_to_end():
@@ -208,7 +202,7 @@ def test_single_node_network_end_to_end():
     assert part.s1.indices() == (2,)
     report = minimal_targets(model)
     assert not report.observable
-    plan = global_min_sensors(report, model)
+    plan = global_min_sensors(report)
     assert plan.min_size == 1
     assert plan.extended_observable
 

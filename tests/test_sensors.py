@@ -261,7 +261,7 @@ def test_every_off_diagonal_target_has_a_cover(case):
 
 def test_global_plan_on_bundled_model(apoptosis):
     report = minimal_targets(apoptosis)
-    plan = global_min_sensors(report, apoptosis)
+    plan = global_min_sensors(report)
     assert plan.min_size == 2
     assert tuple(cover for _, cover in plan.optima) == COVERS_EXPECTED
     assert plan.suggested == (0, (1, 2))
@@ -269,6 +269,22 @@ def test_global_plan_on_bundled_model(apoptosis):
     extended = extend_output(apoptosis, plan.suggested[1])
     assert extended.q == 3
     assert is_observable(extended)[0] == plan.extended_observable
+
+
+def test_sensor_plan_holds_no_pair_sets(apoptosis):
+    # The candidates stay in the report: the plan holds variables, positions and a
+    # flag, so no StateSet.
+    def leaves(value):
+        if isinstance(value, tuple):
+            for item in value:
+                yield from leaves(item)
+        else:
+            yield value
+
+    plan = global_min_sensors(minimal_targets(apoptosis))
+    for field in dataclasses.fields(plan):
+        held = leaves(getattr(plan, field.name))
+        assert all(type(value) in (int, bool) for value in held), field.name
 
 
 def test_global_plan_rejects_observable_models():
@@ -285,7 +301,7 @@ def test_global_plan_rejects_observable_models():
     )
     report = minimal_targets(model)
     with pytest.raises(ValueError, match="already observable"):
-        global_min_sensors(report, model)
+        global_min_sensors(report)
 
 
 def test_single_variable_plan():
@@ -301,7 +317,7 @@ def test_single_variable_plan():
     )
     report = minimal_targets(model)
     assert not report.observable
-    plan = global_min_sensors(report, model)
+    plan = global_min_sensors(report)
     assert plan.min_size == 1
     assert all(cover == (2,) for _, cover in plan.optima)
     assert plan.extended_observable
@@ -318,7 +334,7 @@ def test_extension_closes_the_loop_on_random_models():
             continue
         if report.observable:
             continue
-        plan = global_min_sensors(report, model)
+        plan = global_min_sensors(report)
         seen += 1
         for pos, cover in plan.optima:
             flag, _ = is_observable(extend_output(model, cover))
@@ -348,7 +364,7 @@ def test_min_size_matches_direct_measurement_search(draws, constant_output, leas
             continue
         if report.observable:
             continue
-        plan = global_min_sensors(report, model)
+        plan = global_min_sensors(report)
         variables = range(1, model.n + 1)
         direct = next(
             r
@@ -406,11 +422,10 @@ def test_global_covers_equal_each_candidates_truth_matrix_cover():
             continue
         if report.observable:
             continue
-        plan = global_min_sensors(report, model)
-        assert [c.target for c in plan.per_candidate] == list(report.candidates)
-        for c in plan.per_candidate:
-            phi = truth_matrix(c.target, model.n)
-            assert c.covers == min_cover(phi)
-            assert c.covers == naive_min_covers(reference_row_masks(phi.bits), len(phi.column_states))
-            assert c.size == len(c.covers[0])
+        plan = global_min_sensors(report)
+        assert len(plan.per_candidate) == len(report.candidates)
+        for target, covers in zip(report.candidates, plan.per_candidate):
+            phi = truth_matrix(target, model.n)
+            assert covers == min_cover(phi)
+            assert covers == naive_min_covers(reference_row_masks(phi.bits), len(phi.column_states))
         unobservable += 1
