@@ -46,8 +46,8 @@ DEFAULT_SUBSET_CAP = 20
 # this many mask entries (512 KB of int64), so a component at any cap stays small.
 BREAKER_BLOCK = 1 << 16
 
-# Members whose successors the core and the invariant set read at once: k x 2^16
-# intp successors (2 MB at k = 4), not k x |members|.
+# Members whose successors the core, the invariant set and the anchor graph read at
+# once: k x 2^16 intp successors (2 MB at k = 4), not k x |members|.
 MEMBER_BLOCK = 1 << 16
 
 
@@ -104,13 +104,11 @@ def _members(states: StateSet, aug: AugmentedSystem) -> np.ndarray:
 def _each_block(z: np.ndarray, aug: AugmentedSystem, test) -> np.ndarray:
     """``test(successors, block)`` of the states ``z``, read ``MEMBER_BLOCK`` states at a time.
 
-    ``test`` maps the k x |block| successors of a block to one bool per state.
+    ``test`` maps the k x |block| successors of a block to one entry per
+    state; an empty ``z`` is one empty block, so the result keeps its dtype.
     """
-    out = np.empty(z.size, dtype=bool)
-    for start in range(0, z.size, MEMBER_BLOCK):
-        block = z[start : start + MEMBER_BLOCK]
-        out[start : start + block.size] = test(aug.successors(block), block)
-    return out
+    blocks = [z[start : start + MEMBER_BLOCK] for start in range(0, max(z.size, 1), MEMBER_BLOCK)]
+    return np.concatenate([test(aug.successors(block), block) for block in blocks])
 
 
 def one_step_to_diagonal(states: StateSet, aug: AugmentedSystem) -> StateSet:
@@ -186,22 +184,26 @@ def _cyclic_components(
     """Cyclic SCCs of the successor graph on ``invariant``, each pair folded with its mirror.
 
     Each component is (its 1-based pair indices, the successor bitmask of
-    each of its states over their positions in that list); successors
-    outside the mirror closure are dropped.  Raises ValueError when a member
-    is not a canonical i < j pair, and ResourceLimitError as soon as a
-    cyclic component has more than ``cap`` states.
+    each of its states over their positions in that list); successors are
+    folded to their i <= j halves and found among the ascending members by
+    binary search, and those outside the mirror closure are dropped.  Raises
+    ValueError when a member is not a canonical i < j pair, and
+    ResourceLimitError as soon as a cyclic component has more than ``cap`` states.
     """
     n = aug.model.n
     size = 1 << n
     states = _members(invariant, aug)
-    first, second = states >> n, states & (size - 1)
-    if (first >= second).any():
+    if ((states >> n) >= (states & (size - 1))).any():
         raise ValueError("anchor search needs canonical i < j pairs")
-    position = np.full(aug.pair_count, -1, dtype=np.int32)
-    position[states] = position[second * size + first] = np.arange(states.size)
+
+    def positions(succ: np.ndarray, _) -> np.ndarray:
+        np.minimum(succ, ((succ & (size - 1)) << n) | (succ >> n), out=succ)  # the i <= j halves
+        at = np.searchsorted(states, succ)
+        at[states.take(at, mode="clip") != succ] = -1
+        return at.T.astype(np.int32)
+
     # Row v holds member v's successors as member positions, -1 outside the closure.
-    heads = position[aug.successors(states)].T
-    edges, degree = array("i", heads.tobytes()), heads.shape[1]
+    edges, degree = array("i", _each_block(states, aug, positions).tobytes()), aug.maps.shape[0]
 
     def successors(v: int) -> array:
         return edges[v * degree : (v + 1) * degree]

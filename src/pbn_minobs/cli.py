@@ -289,9 +289,8 @@ def _summary_lines(analysis: AnalysisReport, plan: SensorPlan | None) -> list[st
         for pos, cand in enumerate(analysis.candidates):
             lines.append(f"candidate {pos}: {listing(cand)}")
     if plan is not None:
-        covers = ", ".join(
-            "{" + ", ".join(f"x{v}" for v in cover) + "}" for _, cover in plan.optima
-        )
+        distinct = dict.fromkeys(cover for _, cover in plan.optima)  # first-seen order
+        covers = ", ".join("{" + ", ".join(f"x{v}" for v in cover) + "}" for cover in distinct)
         lines.append(f"minimum added measurements ({plan.min_size}): {covers}")
         sugg = ", ".join(f"x{v}" for v in plan.suggested[1])
         lines.append(f"suggested: {{{sugg}}} (re-verified observable: {plan.extended_observable})")

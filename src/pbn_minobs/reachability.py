@@ -61,7 +61,8 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
 
     ``target`` is read as its mirror closure: a pair and its mirror arrive
     together, so only the i <= j pairs are pending, each arriving pair marks
-    its mirror too, and the layers and the union hold the i <= j half.
+    its mirror too (pair i * 2^n + j swaps its halves to j * 2^n + i), and
+    the layers and the union hold the i <= j half.
 
     Each pending state watches one successor, as SAT solvers watch literals:
     first its row-0 successor, later the smallest successor that had not
@@ -88,7 +89,6 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
     pending = ranks[:, None] <= ranks
     np.greater(pending, closed, out=pending)
     pending = pending.reshape(-1).nonzero()[0]  # the i <= j pairs outside the closure
-    mirror = ((pending & (size - 1)) << n) | (pending >> n)
     watch = aug.successors(pending, slice(1))[0]
     gone = 0  # pending states that have arrived
     layers: list[np.ndarray] = []
@@ -106,14 +106,13 @@ def robust_reach(target: StateSet, aug: AugmentedSystem) -> ReachResult:
         keep = (succ == sentinel).nonzero()[0]
         if not keep.size:
             break
-        ready, layer = ready[keep], layer[keep]
-        arrived[layer] = True
-        arrived[mirror[ready]] = True
+        layer = layer[keep]
+        arrived[layer] = arrived[((layer & (size - 1)) << n) | (layer >> n)] = True
         layers.append(layer)
         gone += layer.size
         if 2 * gone >= pending.size:
             keep = (watch != sentinel).nonzero()[0]
-            pending, mirror, watch, gone = pending[keep], mirror[keep], watch[keep], 0
+            pending, watch, gone = pending[keep], watch[keep], 0
     union = arrived[:sentinel]
     union[:] = False
     for layer in layers:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from array import array
 from itertools import combinations
 
@@ -203,6 +204,26 @@ def test_strongly_connected_matches_mutual_reachability():
         found = analysis._strongly_connected(array("i", edges.tolist()), degree)
         found = [frozenset(c) for c in found]
         assert len(found) == len(expected) and set(found) == expected
+
+
+def test_anchor_graph_allocates_nothing_sized_by_the_pair_space():
+    # Twenty canonical pairs at n = 10: a table over the 4^n pair states, even
+    # of one byte per pair, would break the bound.
+    rng = np.random.default_rng(61)
+    model = random_model(rng, n=10, m=4, q=2, allow_zero_probs=False)
+    aug = build_augmented(model)
+    size = model.state_count
+    i, j = np.sort(rng.choice(size, size=(20, 2), replace=True), axis=1).T
+    canonical = i < j
+    pairs = StateSet.from_indices(aug.pair_count, i[canonical] * size + j[canonical] + 1)
+    tracemalloc.start()
+    try:
+        components = analysis._cyclic_components(pairs, aug, cap=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert {z for members, _ in components for z in members} <= set(pairs.indices())
+    assert peak < aug.pair_count, peak
 
 
 def exhaustive_anchor_sets(

@@ -14,6 +14,7 @@ of the benchmark's 60 anchor_search reports.
 import contextlib
 import hashlib
 import io
+import json
 import re
 from pathlib import Path
 
@@ -110,13 +111,35 @@ def test_anchor_search_reports_match_frozen_digests(tmp_path, monkeypatch):
     """
     monkeypatch.chdir(tmp_path)
     expected = dict(line.split() for line in (DATA / "anchor-search.sha256").read_text().splitlines())
-    digests = {}
+    digests = {
+        name: hashlib.sha256(TIMING.sub(r"\g<1>0.0", out).encode()).hexdigest()
+        for name, out, _ in _anchor_search_runs()
+    }
+    assert digests == expected
+
+
+def test_summary_prints_each_minimum_cover_once(tmp_path, monkeypatch):
+    """The stderr summary lists the report's distinct optimal covers in first-seen order."""
+    monkeypatch.chdir(tmp_path)
+    repeated = 0
+    for name, out, err in _anchor_search_runs():
+        covers = [tuple(o["variables"]) for o in json.loads(out)["sensors"]["optima"]]
+        distinct = dict.fromkeys(covers)
+        repeated += len(distinct) < len(covers)
+        (line,) = (line for line in err.splitlines() if line.startswith("minimum added"))
+        listed = ", ".join("{" + ", ".join(f"x{v}" for v in cover) + "}" for cover in distinct)
+        assert line.split(": ", 1)[1] == listed, name
+    assert repeated >= 30, repeated
+
+
+def _anchor_search_runs():
+    """(file name, stdout, stderr) of ``analyze --sensors --max-subset 14`` on each model
+    of the benchmark's anchor_search draw, written to the working directory."""
     for n in (4, 5):
         for seed in range(30):
             model = random_model(np.random.default_rng(seed), n=n, m=4, q=2, allow_zero_probs=False)
             name = f"anchor-n{n}-{seed}.pbn"
             Path(name).write_text(render_model(model), encoding="utf-8")
-            code, out, _ = _run("analyze", name, "--sensors", "--max-subset", 14)
+            code, out, err = _run("analyze", name, "--sensors", "--max-subset", 14)
             assert code == 0, name
-            digests[name] = hashlib.sha256(TIMING.sub(r"\g<1>0.0", out).encode()).hexdigest()
-    assert digests == expected
+            yield name, out, err

@@ -391,6 +391,25 @@ def test_build_and_reach_never_make_a_k_by_pair_space_array():
         assert peak < 4 * 4**7 * np.dtype(np.int64).itemsize, peak
 
 
+def test_reach_holds_no_array_beyond_pending_and_watch():
+    # Two listed pairs at n = 10 leave nearly every i <= j pair pending.  The
+    # pending and watch arrays and their setup peak at 4.25 units of 8 bytes
+    # per i <= j pair; a third pending-sized array, such as stored mirror
+    # indices, would take it to 5.25.
+    model = random_model(np.random.default_rng(10), n=10, m=4, q=2, allow_zero_probs=False)
+    aug = build_augmented(model)
+    target = StateSet.from_indices(aug.pair_count, [2, 3])
+    tracemalloc.start()
+    try:
+        robust_reach(target, aug)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = model.state_count
+    unit = np.dtype(np.int64).itemsize * size * (size + 1) // 2
+    assert peak <= 4.75 * unit, peak / unit
+
+
 def _swapping_map(rng, size):
     """A state map that swaps random disjoint pairs of states and fixes the rest."""
     image = np.arange(size)
