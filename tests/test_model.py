@@ -41,6 +41,21 @@ def test_parse_bundled_model(apoptosis):
     assert apoptosis.output == LogicalMatrix(2, APOPTOSIS_H)
 
 
+def test_each_distinct_rule_text_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counting_parse(text, *args, **kwargs):
+        calls.append(text)
+        return parse_bool_expr(text, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "parse_bool_expr", counting_parse)
+    model = parse_model(MODEL_PATH.read_text())
+    # 13 rules, 5 distinct texts: !x2, !x1 & !x3, x2, x1 and the output rule.
+    assert len(calls) == len(set(calls)) == 5
+    assert model.transitions == tuple(LogicalMatrix(8, cols) for cols in APOPTOSIS_L)
+    assert model.output == LogicalMatrix(2, APOPTOSIS_H)
+
+
 def test_matrix_literal_form(apoptosis):
     text = (
         "states: 3\noutputs: 1\nsubnetworks: 1\np: 1.0\n"
@@ -233,6 +248,20 @@ def test_rule_nested_too_deeply_is_refused_with_its_line(rule, in_parser, tmp_pa
         assert out == "" and err.startswith("error: " + place), (argv, err)
 
 
+@pytest.mark.parametrize("rule, in_parser", DEEP_RULES.values(), ids=DEEP_RULES.keys())
+def test_too_deep_rule_repeated_in_two_blocks_is_refused_where_first_read(rule, in_parser):
+    # The rule is read first in [output] (line 6, col 6), but [net 2] (line 10) is
+    # evaluated first: a rule too deep to parse is refused where it is first parsed,
+    # one too deep to walk where it is first evaluated.
+    text = (
+        "states: 1\noutputs: 1\nsubnetworks: 2\np: 0.5 0.5\n"
+        f"[output]\ny1 = {rule}\n[net 1]\nx1' = x1\n[net 2]\nx1' = {rule}\n"
+    )
+    with pytest.raises(ModelFormatError, match="nested too deeply") as err:
+        parse_model(text)
+    assert (err.value.line, err.value.col) == ((6, 6) if in_parser else (10, None))
+
+
 @pytest.mark.parametrize("rule", [r for r, in_parser in DEEP_RULES.values() if in_parser])
 def test_direct_parse_of_a_too_deep_rule_names_its_column(rule):
     with pytest.raises(ModelFormatError, match="nested too deeply") as err:
@@ -286,8 +315,9 @@ def _reference_walks(expr, bits):
 
 def test_walks_of_random_rules_match_plain_recursion():
     rng = np.random.default_rng(4242)
-    for _ in range(300):
-        n = int(rng.integers(1, 6))
+    # The last 60 rules have tables of 64-256 rows, more than one machine word.
+    for draw in range(360):
+        n = int(rng.integers(1, 6)) if draw < 300 else 6 + draw % 3
         expr = random_expr(rng, n, depth=int(rng.integers(1, 6)))
         table = assignment_table(n)
         expected = [_reference_walks(expr, row) for row in table]
@@ -296,6 +326,20 @@ def test_walks_of_random_rules_match_plain_recursion():
         assert str(expr) == expected[0][1]
         assert expr.max_var() == expected[0][2]
         assert structure_matrix(expr, n).col_index.tolist() == [1 if v else 2 for v, _, _ in expected]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 9, 65])
+def test_table_reads_assignment_matrices_of_any_row_count(rows):
+    rng = np.random.default_rng(rows)
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        expr = random_expr(rng, n, depth=4)
+        assignments = rng.random((rows, n)) < 0.5
+        expected = [_reference_walks(expr, row)[0] for row in assignments]
+        got = expr.table(assignments)
+        assert got.dtype == bool and got.shape == (rows,)
+        assert got.tolist() == expected
+        assert [expr.evaluate(row) for row in assignments] == [int(v) for v in expected]
 
 
 def test_deep_rules_below_the_limit_keep_their_matrices():

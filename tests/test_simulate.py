@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -152,6 +153,110 @@ def test_monte_carlo_agrees_with_analysis():
         if checked > 8:
             break
     assert checked
+
+
+# The exact separation probability, by propagating a pair through the paper's
+# expected pair map: an oracle for robust_reach's layers and for the estimate.
+
+
+def _separated(model):
+    """0-based pair states whose outputs differ, as a 4^n bool array."""
+    out = model.output.col_index
+    return (out[:, None] != out).reshape(-1)
+
+
+def _first_empty_support(aug, separated, z):
+    """The first step at which every switching sequence from pair ``z`` has separated it.
+
+    Separated pairs leave the support.  None when the support is never empty:
+    it repeats (so cycles) or stays non-empty through 4^n steps.
+    """
+    support, seen = np.array([z]), set()
+    for step in range(1, aug.pair_count + 1):
+        support = np.unique(aug.successors(support))
+        support = support[~separated[support]]
+        if not support.size:
+            return step
+        if support.tobytes() in seen:
+            return None
+        seen.add(support.tobytes())
+    return None
+
+
+def _exact_separation(model, aug, separated, z, horizon):
+    """P_T for T = 0..horizon: the probability that pair ``z``'s outputs differ by step T.
+
+    Mass is absorbed at separation and dropped where the two states merge.
+    """
+    size = model.state_count
+    probs = np.array([model.probs[v] for v in model.active])
+    succ = aug.successors(np.arange(size * size))
+    mass = np.zeros(size * size)
+    mass[z] = 1.0
+    absorbed = [float(separated[z])]
+    for _ in range(horizon):
+        weights = (probs[:, None] * mass).ravel()
+        mass = np.bincount(succ.ravel(), weights=weights, minlength=size * size)
+        absorbed.append(absorbed[-1] + mass[separated].sum())
+        mass[separated] = 0.0
+        mass[:: size + 1] = 0.0  # the diagonal: merged states never separate
+    return absorbed
+
+
+def _oracle_models():
+    rng = np.random.default_rng(2027)
+    for _ in range(40):
+        model = random_model(rng, n=int(rng.integers(2, 5)))
+        yield model, build_augmented(model), partition_states(model)
+
+
+def test_first_empty_support_is_the_robust_reach_layer():
+    in_union = outside = 0
+    for model, aug, part in _oracle_models():
+        layer_of = {}
+        for step, layer in enumerate(robust_reach(part.s2, aug).layers, start=1):
+            layer_of.update(dict.fromkeys(layer.tolist(), step))
+        separated = _separated(model)
+        size = model.state_count
+        for z in range(size * size):
+            if z // size <= z % size and not separated[z]:  # each output-equal i <= j pair
+                assert _first_empty_support(aug, separated, z) == layer_of.get(z), z
+                in_union += z in layer_of
+                outside += z not in layer_of
+    assert in_union > 100 and outside > 100
+
+
+def _bernstein_bound(p, trials, failure=1e-6):
+    """By Bernstein's inequality, the mean of ``trials`` Bernoulli(p) draws lies
+    farther than this from p with probability below ``failure``."""
+    log = math.log(2 / failure)
+    return math.sqrt(2 * p * (1 - p) * log / trials) + 2 * log / (3 * trials)
+
+
+def test_estimate_lies_within_a_binomial_bound_of_the_exact_probability():
+    trials, horizons = 400, (1, 2, 3, 5, 8)
+    exact_ones = inside = 0
+    for model, aug, part in _oracle_models():
+        separated = _separated(model)
+        size = model.state_count
+        for z in part.s1.indices()[:6]:
+            z -= 1
+            exact = _exact_separation(model, aug, separated, z, max(horizons))
+            emptied = _first_empty_support(aug, separated, z)
+            for horizon in horizons:
+                p = exact[horizon]
+                est = estimate_distinguishability(
+                    model, z // size + 1, z % size + 1, horizon, trials, seed=horizon
+                )
+                if emptied is not None and emptied <= horizon:
+                    assert abs(p - 1.0) < 1e-9 and est == 1.0, (z, horizon)
+                    exact_ones += 1
+                    continue
+                if p == 0.0:
+                    assert est == 0.0, (z, horizon)
+                assert abs(est - p) <= _bernstein_bound(p, trials), (z, horizon, est, p)
+                inside += 0.0 < p < 1.0
+    assert exact_ones > 50 and inside > 50
 
 
 def test_invalid_inputs(apoptosis):
