@@ -33,7 +33,7 @@ from operator import or_
 
 import numpy as np
 
-from .augmented import AugmentedSystem, build_augmented
+from .augmented import SUCCESSOR_BLOCK, AugmentedSystem, build_augmented
 from .errors import ResourceLimitError
 from .model import PbnModel
 from .partition import Partition, StateSet, partition_states
@@ -45,10 +45,6 @@ DEFAULT_SUBSET_CAP = 20
 # Cycle-breaker subsets are tested in blocks whose temporaries hold at most
 # this many mask entries (512 KB of int64), so a component at any cap stays small.
 BREAKER_BLOCK = 1 << 16
-
-# Members whose successors the core, the invariant set and the anchor graph read at
-# once: k x 2^16 intp successors (2 MB at k = 4), not k x |members|.
-MEMBER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,12 +98,13 @@ def _members(states: StateSet, aug: AugmentedSystem) -> np.ndarray:
 
 
 def _each_block(z: np.ndarray, aug: AugmentedSystem, test) -> np.ndarray:
-    """``test(successors, block)`` of the states ``z``, read ``MEMBER_BLOCK`` states at a time.
+    """``test(successors, block)`` of the states ``z``, read ``SUCCESSOR_BLOCK`` states at a time.
 
     ``test`` maps the k x |block| successors of a block to one entry per
     state; an empty ``z`` is one empty block, so the result keeps its dtype.
     """
-    blocks = [z[start : start + MEMBER_BLOCK] for start in range(0, max(z.size, 1), MEMBER_BLOCK)]
+    step = SUCCESSOR_BLOCK
+    blocks = [z[start : start + step] for start in range(0, max(z.size, 1), step)]
     return np.concatenate([test(aug.successors(block), block) for block in blocks])
 
 

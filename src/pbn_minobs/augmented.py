@@ -20,6 +20,11 @@ from .stp import LogicalMatrix, check_size
 
 COLUMN_SUM_TOL = 1e-9
 
+# States whose successors are computed at once, by AugmentedSystem.successors and
+# by the analysis stages that test them: the temporaries hold k x 2^16 intp
+# entries (2 MB at k = 4), not k x |states|.
+SUCCESSOR_BLOCK = 1 << 16
+
 
 class StochasticMatrix:
     """Probability-weighted sum of logical maps, as the paper writes the expectation.
@@ -120,11 +125,19 @@ class AugmentedSystem:
         """0-based successors of the 0-based pair states ``z``: one row per map in ``rows``.
 
         Each successor keeps the order of its halves: a map that swaps i and j
-        sends (i, j) to (j, i), which is not (i, j) itself.
+        sends (i, j) to (j, i), which is not (i, j) itself.  ``z`` is read in
+        blocks of ``SUCCESSOR_BLOCK`` states into the one output array.  Each
+        index must lie in [0, 4^n): the first halves are read with
+        ``mode="clip"``, as a bounds-checked ``take`` into ``out`` copies
+        through a buffer.
         """
-        n = self.model.n
-        out = self.shifted[rows].take(z >> n, axis=1)
-        out |= self.maps[rows].take(z & ((1 << n) - 1), axis=1)
+        n, step = self.model.n, SUCCESSOR_BLOCK
+        shifted, maps = self.shifted[rows], self.maps[rows]
+        out = np.empty((shifted.shape[0], z.size), dtype=np.intp)
+        for start in range(0, z.size, step):
+            block, cols = z[start : start + step], out[:, start : start + step]
+            shifted.take(block >> n, axis=1, out=cols, mode="clip")
+            cols |= maps.take(block & ((1 << n) - 1), axis=1)
         return out
 
     @cached_property

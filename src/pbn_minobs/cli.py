@@ -74,7 +74,6 @@ def build_report(
         },
         "analysis": {
             "observable": analysis.observable,
-            "witness": analysis.indistinguishable,
             "already_distinguishable": analysis.distinguishable,
             "indistinguishable": analysis.indistinguishable,
             "one_step_diagonal": analysis.one_step_diagonal,
@@ -91,18 +90,11 @@ def build_report(
         "timing": timing,
     }
     if plan is not None:
-        # Every candidate has a cover, so the skip reason is always null and the
-        # skip list always empty; both keys stay for schema stability.
         doc["sensors"] = {
             "min_size": plan.min_size,
             "per_candidate": [
-                {
-                    "target": target,
-                    "covers": [list(cover) for cover in covers],
-                    "size": len(covers[0]),
-                    "infeasible_reason": None,
-                }
-                for target, covers in zip(analysis.candidates, plan.per_candidate)
+                {"covers": [list(cover) for cover in covers], "size": len(covers[0])}
+                for covers in plan.per_candidate
             ],
             "optima": [
                 {"candidate": pos, "variables": list(cover)} for pos, cover in plan.optima
@@ -112,7 +104,6 @@ def build_report(
                 "variables": list(plan.suggested[1]),
             },
             "extended_observable": plan.extended_observable,
-            "diagnostics": [],
         }
     return doc
 
@@ -287,7 +278,7 @@ def _summary_lines(analysis: AnalysisReport, plan: SensorPlan | None) -> list[st
             f"{listing(analysis.core)}"
         )
         for pos, cand in enumerate(analysis.candidates):
-            lines.append(f"candidate {pos}: {listing(cand)}")
+            lines.append(f"candidate {pos}: core + {listing(cand - analysis.core)}")
     if plan is not None:
         distinct = dict.fromkeys(cover for _, cover in plan.optima)  # first-seen order
         covers = ", ".join("{" + ", ".join(f"x{v}" for v in cover) + "}" for cover in distinct)

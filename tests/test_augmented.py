@@ -22,6 +22,8 @@ from pbn_minobs import (
     stp,
 )
 
+from pbn_minobs.augmented import SUCCESSOR_BLOCK
+
 from conftest import Q_COLUMNS_EXPECTED, random_model
 from test_acceptance import Q_BUILD_BUDGET_S
 
@@ -218,6 +220,21 @@ def test_successors_from_the_maps_are_the_positive_probability_pair_maps():
             expected = pair_map(model.transitions[v]).col_index - 1
             assert np.array_equal(succ[row], expected)
             assert np.array_equal(aug.successors(picked, slice(row, row + 1))[0], expected[picked])
+
+
+def test_successors_of_long_state_lists_match_the_pair_maps():
+    # Lists of more than one block, none a whole number of blocks, with repeats.
+    rng = np.random.default_rng(73)
+    for n in (8, 9):
+        model = random_model(rng, n=n, m=int(rng.integers(1, 5)))
+        aug = build_augmented(model)
+        expected = np.stack([pair_map(model.transitions[v]).col_index - 1 for v in model.active])
+        for length in (SUCCESSOR_BLOCK + 1, 2 * SUCCESSOR_BLOCK + 777, 3 * SUCCESSOR_BLOCK - 1):
+            z = rng.integers(0, aug.pair_count, size=length)
+            assert np.array_equal(aug.successors(z), expected[:, z])
+            row = int(rng.integers(len(model.active)))
+            one_row = aug.successors(z, slice(row, row + 1))
+            assert np.array_equal(one_row, expected[row : row + 1, z])
 
 
 def test_q_matrix_is_built_on_first_access_within_budget(apoptosis):

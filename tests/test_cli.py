@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import time
 import tracemalloc
 
@@ -430,6 +431,14 @@ def _reference_fmt(states, n):
     return "{" + ", ".join(f"{z}=({i},{j})" for z, i, j in _reference_listing(states, n)) + "}"
 
 
+ANALYSIS_KEYS = [
+    "observable", "already_distinguishable", "indistinguishable", "one_step_diagonal",
+    "fixed_points", "core", "residual", "invariant_set", "invariant_anchors",
+    "second_residual", "second_anchors", "candidates",
+]
+SENSORS_KEYS = ["min_size", "per_candidate", "optima", "suggested", "extended_observable"]
+
+
 def _check_analyze(capsys, path, model):
     """Run ``analyze --sensors --max-subset 14`` and compare it with the references."""
     code, out, err = run(capsys, "analyze", path, "--sensors", "--max-subset", "14")
@@ -440,17 +449,34 @@ def _check_analyze(capsys, path, model):
         assert (code, out, err) == (EXIT_RESOURCE, "", f"resource limit: {exc}\n")
         return "refused"
     plan = None if analysis.observable else global_min_sensors(analysis)
-    doc = build_report(str(path), analysis, plan, json.loads(out)["timing"])
+    report = json.loads(out)
+    doc = build_report(str(path), analysis, plan, report["timing"])
     assert code == EXIT_OK
     assert out == json.dumps(_reference_doc(doc, n), indent=2) + "\n"
+    assert list(report["analysis"]) == ANALYSIS_KEYS
     if analysis.observable:
+        assert report["sensors"] is None
         return "observable"
+    # Each set is listed once: per_candidate[k] pairs with candidates[k] by position.
+    sensors = report["sensors"]
+    per_candidate = sensors["per_candidate"]
+    assert list(sensors) == SENSORS_KEYS
+    assert len(per_candidate) == len(report["analysis"]["candidates"])
+    assert all(list(entry) == ["covers", "size"] for entry in per_candidate)
+    for optimum in sensors["optima"]:
+        assert optimum["variables"] in per_candidate[optimum["candidate"]]["covers"]
     listed = [
         f"indistinguishable pairs: {_reference_fmt(analysis.indistinguishable, n)}",
         "must separate directly (diagonal hitters + fixed points): "
         f"{_reference_fmt(analysis.core, n)}",
-    ] + [f"candidate {pos}: {_reference_fmt(c, n)}" for pos, c in enumerate(analysis.candidates)]
+    ] + [
+        f"candidate {pos}: core + {_reference_fmt(c - analysis.core, n)}"
+        for pos, c in enumerate(analysis.candidates)
+    ]
     assert err.splitlines()[3 : 3 + len(listed)] == listed
+    core = set(analysis.core.indices())
+    for line in listed[2:]:
+        assert not core & {int(z) for z in re.findall(r"(\d+)=\(", line)}, line
     return "unobservable"
 
 

@@ -40,10 +40,10 @@ CASES = {
 # Models whose reach and report listings run past cli.BYTE_MATRIX_MIN entries,
 # so both layouts of cli._write_pairs take its byte-matrix path; at n = 7 the
 # pair indices run past 10^4, the first 4-digit chunk boundary.  Each maps to
-# the sha256 of its report (9.2 MB at n = 7), timing zeroed.
+# the sha256 of its report (5.2 MB at n = 7), timing zeroed.
 REACH_CASES = {
-    "family-n6-seed1": "fde530a5d6af11ee4822b410953d7c999dc11777e905e4ec212ee14281e45b98",
-    "family-n7-seed1": "0032b37d6ff49c47797e9a6f0b3fcadab7160151a7235abf10d9f3e2b54279b2",
+    "family-n6-seed1": "297024c2bfbba0add58088cb5c826b54ce165f585476ac7d7af5a988c9082df4",
+    "family-n7-seed1": "a0bc225c4620527ae3a34be8156e29262345a4da9065fca03c0ab8142e452b95",
 }
 
 TIMING = re.compile(r'("(?:parse|analysis|sensors|total)_s": )[^,\n]+')
